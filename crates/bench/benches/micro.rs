@@ -365,6 +365,52 @@ fn bench_preprocess(c: &mut Criterion) {
     });
 }
 
+/// The arrival path's second half: one 500-object work item enqueued into
+/// a bucket already holding 1k other queries' runs (the directory depth a
+/// saturated archive reaches), then drained again by query so every
+/// iteration starts from the same state. The drain is O(500) moves plus an
+/// O(1k) directory fold, so the row bounds the enqueue from above.
+fn bench_enqueue(c: &mut Criterion) {
+    const LEVEL: u8 = 14;
+    const CO_QUEUED: u64 = 1_000;
+    let positions: Vec<Vec3> = (0..500)
+        .map(|i| Vec3::from_radec_deg(150.0 + 0.001 * i as f64, 2.0))
+        .collect();
+    let radius = (10.0 / 3600.0_f64).to_radians();
+    let query = CrossMatchQuery::from_positions(
+        QueryId(CO_QUEUED + 1),
+        &positions,
+        radius,
+        LEVEL,
+        Predicate::All,
+    );
+    let item = WorkItem {
+        query: query.id,
+        bucket: BucketId(0),
+        object_indices: (0..500).collect(),
+    };
+    let mut table = WorkloadTable::new(4);
+    for q in 0..CO_QUEUED {
+        // Even IDs around the probe's, so its run lands mid-directory.
+        let mut other = query.clone();
+        other.id = QueryId(2 * q);
+        let run = WorkItem {
+            query: other.id,
+            bucket: BucketId(0),
+            object_indices: (0..4).collect(),
+        };
+        table.enqueue(&run, &other, SimTime::from_micros(q));
+    }
+    c.bench_function("enqueue_500_object_item_1k_runs", |b| {
+        let mut drained = Vec::new();
+        b.iter(|| {
+            table.enqueue(black_box(&item), &query, SimTime::from_micros(5_000));
+            table.take_query_into(BucketId(0), query.id, &mut drained);
+            drained.len()
+        })
+    });
+}
+
 fn bench_materialize(c: &mut Criterion) {
     let cat = VirtualCatalog::new(14, 256, 10_000, 4096, 5);
     c.bench_function("virtual_bucket_materialize_10k", |b| {
@@ -386,7 +432,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_htm, bench_joins, bench_scheduler, bench_candidates, bench_decision_path, bench_queue_drain, bench_cache, bench_preprocess, bench_materialize
+    targets = bench_htm, bench_joins, bench_scheduler, bench_candidates, bench_decision_path, bench_queue_drain, bench_cache, bench_preprocess, bench_enqueue, bench_materialize
 }
 criterion_main!(benches);
 

@@ -45,39 +45,90 @@ impl<'a> QueryPreProcessor<'a> {
     }
 
     /// Decomposes a query into work items, one per overlapped bucket,
-    /// ordered by bucket ID.
+    /// ordered by bucket ID, with object indices ascending in each item.
     ///
     /// An object whose bounding box spans `k` buckets contributes to `k`
     /// work items; each bucket is joined independently and no duplicate
     /// elimination is needed because every catalog point lives in exactly
     /// one bucket (Section 3.1).
     pub fn preprocess(&self, query: &CrossMatchQuery) -> Vec<WorkItem> {
-        // Buckets are dense indices; collect per-bucket index lists in a map
-        // keyed by bucket. Queries touch few distinct buckets relative to the
-        // partition size, so a BTreeMap keeps output ordered without a full
-        // bucket-count allocation per query.
-        let mut per_bucket: std::collections::BTreeMap<BucketId, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for (idx, obj) in query.objects.iter().enumerate() {
-            let buckets = self.partition.buckets_overlapping_set(&obj.bbox);
-            for b in buckets {
-                per_bucket.entry(b).or_default().push(idx as u32);
+        // A query touches few buckets and consecutive objects mostly share
+        // one, so the item last appended to is tried first and the short
+        // item list is scanned on a miss; sorting the items once at the end
+        // is cheaper than keeping a map ordered per assignment.
+        let mut items: Vec<WorkItem> = Vec::new();
+        let mut hit = 0;
+        self.for_each_assignment(query, |bucket, idx| {
+            if items.get(hit).map(|w| w.bucket) != Some(bucket) {
+                hit = match items.iter().position(|w| w.bucket == bucket) {
+                    Some(i) => i,
+                    None => {
+                        items.push(WorkItem {
+                            query: query.id,
+                            bucket,
+                            object_indices: Vec::new(),
+                        });
+                        items.len() - 1
+                    }
+                };
             }
-        }
-        per_bucket
-            .into_iter()
-            .map(|(bucket, object_indices)| WorkItem {
-                query: query.id,
-                bucket,
-                object_indices,
-            })
-            .collect()
+            items[hit].object_indices.push(idx);
+        });
+        items.sort_unstable_by_key(|w| w.bucket);
+        items
     }
 
     /// Total number of (object, bucket) assignments a query expands to —
-    /// the amount of workload-queue space it will occupy.
+    /// the amount of workload-queue space it will occupy. Counts without
+    /// building the work items.
     pub fn workload_size(&self, query: &CrossMatchQuery) -> u64 {
-        self.preprocess(query).iter().map(|w| w.len() as u64).sum()
+        let mut n = 0;
+        self.for_each_assignment(query, |_, _| n += 1);
+        n
+    }
+
+    /// Calls `f(bucket, object index)` once for every bucket each object's
+    /// bounding box overlaps, objects in order and each object's buckets
+    /// ascending. An object with an empty bounding box overlaps nothing.
+    ///
+    /// A bounding box is a few short ranges that nearly always fall inside
+    /// one bucket, so two shortcuts come before the exact per-range search:
+    /// an object inside the bucket the previous object landed in needs no
+    /// search at all, and an object whose first and last IDs share a bucket
+    /// lies wholly in it (buckets tile the curve contiguously). Only objects
+    /// that straddle buckets look up each range, since a box with gaps may
+    /// skip a whole bucket between its ranges.
+    fn for_each_assignment(&self, query: &CrossMatchQuery, mut f: impl FnMut(BucketId, u32)) {
+        let p = self.partition;
+        // Raw HTM bounds and ID of the last bucket hit; starts empty.
+        let (mut lo, mut hi, mut last) = (u64::MAX, 0, BucketId(0));
+        for (idx, obj) in query.objects.iter().enumerate() {
+            let idx = idx as u32;
+            let ranges = obj.bbox.ranges();
+            let (Some(first), Some(end)) = (ranges.first(), ranges.last()) else {
+                continue;
+            };
+            if lo <= first.lo().raw() && end.hi().raw() <= hi {
+                f(last, idx);
+                continue;
+            }
+            let (b_lo, b_hi) = (p.bucket_of(first.lo()), p.bucket_of(end.hi()));
+            if b_lo == b_hi {
+                f(b_lo, idx);
+            } else {
+                let mut prev = None;
+                for r in ranges {
+                    for b in p.buckets_overlapping(*r) {
+                        if prev != Some(b) {
+                            f(BucketId(b), idx);
+                            prev = Some(b);
+                        }
+                    }
+                }
+            }
+            let range = p.meta(b_hi).htm_range;
+            (lo, hi, last) = (range.lo().raw(), range.hi().raw(), b_hi);
+        }
     }
 }
 
@@ -86,7 +137,8 @@ mod tests {
     use super::*;
     use crate::crossmatch::{MatchObject, Predicate};
     use liferaft_catalog::Partition;
-    use liferaft_htm::Vec3;
+    use liferaft_htm::{HtmId, HtmRange, HtmRangeSet, Vec3};
+    use proptest::prelude::*;
 
     const LEVEL: u8 = 8;
 
@@ -207,5 +259,167 @@ mod tests {
         assert!(items
             .iter()
             .any(|i| i.bucket == liferaft_storage::BucketId(10)));
+    }
+
+    /// The reference assignment: every object's overlapping buckets from
+    /// `Partition::buckets_overlapping_set`, grouped in an ordered map.
+    fn oracle(p: &Partition, query: &CrossMatchQuery) -> Vec<WorkItem> {
+        let mut per_bucket: std::collections::BTreeMap<BucketId, Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for (idx, obj) in query.objects.iter().enumerate() {
+            for b in p.buckets_overlapping_set(&obj.bbox) {
+                per_bucket.entry(b).or_default().push(idx as u32);
+            }
+        }
+        per_bucket
+            .into_iter()
+            .map(|(bucket, object_indices)| WorkItem {
+                query: query.id,
+                bucket,
+                object_indices,
+            })
+            .collect()
+    }
+
+    /// Partition geometries the property runs over: (level, bucket count).
+    const GEOMETRIES: [(u8, u32); 7] = [
+        (4, 1),
+        (4, 2),
+        (6, 3),
+        (6, 7),
+        (8, 64),
+        (10, 500),
+        (12, 2048),
+    ];
+
+    /// The object-level ID at fraction `f` of bucket `b`'s span.
+    fn id_in(p: &Partition, b: u32, f: f64) -> HtmId {
+        let r = p.buckets()[b as usize].htm_range;
+        let off = ((r.len() - 1) as f64 * f) as u64;
+        HtmId::from_raw(r.lo().raw() + off).expect("inside the bucket")
+    }
+
+    /// One object of kind `kind`, drawn from `a`, `b`, `c` ∈ [0, 1).
+    fn arb_object(p: &Partition, kind: u8, a: f64, b: f64, c: f64) -> MatchObject {
+        let level = p.level();
+        let n = p.num_buckets() as u32;
+        let pick = |f: f64| ((f * n as f64) as u32).min(n - 1);
+        let pos = Vec3::from_radec_deg(a * 360.0, (2.0 * b - 1.0).asin().to_degrees());
+        let set = |ranges: Vec<HtmRange>| MatchObject {
+            pos,
+            radius: 1e-5,
+            bbox: HtmRangeSet::from_ranges(ranges),
+        };
+        match kind {
+            // Clustered error circles: consecutive objects share buckets.
+            0 => MatchObject::new(
+                Vec3::from_radec_deg(40.0 + a, 10.0 + b),
+                10f64.powf(-6.0 + 4.0 * c),
+                level,
+            ),
+            // Anywhere on the sky, up to a few degrees wide.
+            1 => MatchObject::new(pos, 10f64.powf(-6.0 + 4.5 * c), level),
+            // A two-range bbox straddling the boundary into bucket j.
+            2 => {
+                let j = pick(a).max(1).min(n - 1);
+                let before = id_in(p, j.saturating_sub(1), 0.5 + 0.5 * b);
+                let after = id_in(p, j, 0.5 * c);
+                set(vec![
+                    HtmRange::singleton(before),
+                    HtmRange::new(after, after),
+                ])
+            }
+            // Ranges that skip a whole bucket between them.
+            3 if n >= 3 => {
+                let j = pick(a).min(n - 3);
+                set(vec![
+                    HtmRange::singleton(id_in(p, j, b)),
+                    HtmRange::singleton(id_in(p, j + 2, c)),
+                ])
+            }
+            // The curve's two ends: the first and the last bucket.
+            4 => {
+                let (first, last) = (0, n - 1);
+                let at = if a < 0.5 {
+                    id_in(p, first, b * 0.01)
+                } else {
+                    id_in(p, last, 1.0 - c * 0.01)
+                };
+                set(vec![HtmRange::singleton(at)])
+            }
+            // A pub-field object with no bbox: overlaps nothing.
+            5 => set(Vec::new()),
+            // Up to four ranges anywhere on the curve.
+            _ => {
+                let ids: Vec<HtmRange> = [a, b, c, (a + c) / 2.0]
+                    .iter()
+                    .take(1 + (a * 4.0) as usize)
+                    .map(|&f| {
+                        let bucket = pick(f);
+                        let lo = id_in(p, bucket, b);
+                        let hi = id_in(p, bucket, b.max(c));
+                        HtmRange::new(lo, hi)
+                    })
+                    .collect();
+                set(ids)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The shortcut assignment equals the reference on random queries of
+        /// every kind of object, at several levels and bucket counts, and
+        /// `workload_size` counts exactly the assignments it makes.
+        #[test]
+        fn preprocess_matches_the_reference(
+            geometry in 0..GEOMETRIES.len(),
+            objects in proptest::collection::vec(
+                (0u8..7, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                0..40,
+            ),
+        ) {
+            let (level, n) = GEOMETRIES[geometry];
+            let p = Partition::synthetic_uniform(level, n, 100, 4096);
+            let objects: Vec<MatchObject> = objects
+                .iter()
+                .map(|&(kind, a, b, c)| arb_object(&p, kind, a, b, c))
+                .collect();
+            let q = CrossMatchQuery::new(QueryId(5), objects, Predicate::All);
+            let pre = QueryPreProcessor::new(&p);
+            let items = pre.preprocess(&q);
+            prop_assert_eq!(&items, &oracle(&p, &q));
+            let total: u64 = items.iter().map(|w| w.len() as u64).sum();
+            prop_assert_eq!(pre.workload_size(&q), total);
+        }
+    }
+
+    #[test]
+    fn bbox_skipping_a_bucket_does_not_assign_it() {
+        let p = partition();
+        let q = CrossMatchQuery::new(
+            QueryId(3),
+            vec![arb_object(&p, 3, 0.5, 0.9, 0.1)],
+            Predicate::All,
+        );
+        let items = QueryPreProcessor::new(&p).preprocess(&q);
+        let buckets: Vec<u32> = items.iter().map(|w| w.bucket.0).collect();
+        assert_eq!(buckets, vec![32, 34]);
+        assert_eq!(items, oracle(&p, &q));
+    }
+
+    #[test]
+    fn objects_with_empty_bbox_yield_nothing() {
+        let p = partition();
+        let mut q = query_at(&[(10.0, 0.0), (10.0, 0.0)], 1e-6);
+        q.objects[0].bbox = HtmRangeSet::empty();
+        let pre = QueryPreProcessor::new(&p);
+        let items = pre.preprocess(&q);
+        assert!(items.iter().all(|w| w.object_indices == vec![1]));
+        assert_eq!(pre.workload_size(&q), items.len() as u64);
+        q.objects[1].bbox = HtmRangeSet::empty();
+        assert!(pre.preprocess(&q).is_empty());
+        assert_eq!(pre.workload_size(&q), 0);
     }
 }

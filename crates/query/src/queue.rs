@@ -13,8 +13,9 @@
 //! (one `QueryRun` per co-queued query, sorted by query ID). The three
 //! queue operations the engine drives then cost:
 //!
-//! - **enqueue**: O(log d) directory lookup (d = co-queued queries) plus an
-//!   O(1) amortized append to the run's tail segment;
+//! - **enqueue**: one O(log d) directory lookup per work item (d =
+//!   co-queued queries), then an O(1) amortized append per entry to the
+//!   run's tail segment;
 //! - **[`drain_query_into`](WorkloadQueue::drain_query_into)** (the NoShare
 //!   batch): O(matched) — the run's chain is unlinked and its entries moved
 //!   out with **zero compares against other queries' entries**, plus an
@@ -177,43 +178,75 @@ impl WorkloadQueue {
         WorkloadQueue::default()
     }
 
-    /// Appends an entry to its query's run (O(log d) lookup + O(1)
-    /// amortized append).
+    /// Appends one entry to its query's run: an O(log d) directory lookup
+    /// plus an O(1) amortized append. Entries of one query arriving
+    /// together should go through [`push_run`](Self::push_run), which pays
+    /// the lookup once for all of them.
     pub fn push(&mut self, e: QueueEntry) {
-        self.oldest = Some(match self.oldest {
-            Some(t) => t.min(e.enqueued_at),
-            None => e.enqueued_at,
-        });
-        self.len += 1;
-        match self.directory.binary_search_by_key(&e.query, |r| r.query) {
-            Ok(i) => {
-                let tail = self.directory[i].tail;
-                let tail = if self.segments[tail as usize].entries.len() == SEGMENT_CAPACITY {
-                    let s = self.alloc_segment();
-                    self.segments[tail as usize].next = s;
-                    self.directory[i].tail = s;
-                    s
-                } else {
-                    tail
-                };
-                let run = &mut self.directory[i];
-                run.len += 1;
-                run.oldest = run.oldest.min(e.enqueued_at);
-                self.segments[tail as usize].entries.push(e);
+        self.push_run(e.query, std::iter::once(e));
+    }
+
+    /// Appends a run of entries, all of `query`, to that query's chain: one
+    /// O(log d) directory lookup for the whole run, then whole-segment
+    /// fills. A work item is such a run, so enqueueing it costs one lookup
+    /// rather than one per object.
+    ///
+    /// The result is exactly that of pushing the entries one by one: the
+    /// same segments are allocated in the same order, and `len`, `oldest`
+    /// and the run's own `len` and `oldest` end the same.
+    ///
+    /// # Panics
+    /// Panics if an entry belongs to another query.
+    pub fn push_run(&mut self, query: QueryId, entries: impl ExactSizeIterator<Item = QueueEntry>) {
+        let n = entries.len();
+        if n == 0 {
+            return;
+        }
+        let i = self.open_run(query);
+        let mut oldest = SimTime::from_micros(u64::MAX);
+        let mut tail = self.directory[i].tail;
+        {
+            let mut entries = entries.inspect(|e| {
+                assert_eq!(e.query, query, "entry outside its run");
+                oldest = oldest.min(e.enqueued_at);
+            });
+            loop {
+                let seg = &mut self.segments[tail as usize].entries;
+                seg.extend(entries.by_ref().take(SEGMENT_CAPACITY - seg.len()));
+                if entries.len() == 0 {
+                    break;
+                }
+                let s = self.alloc_segment();
+                self.segments[tail as usize].next = s;
+                tail = s;
             }
+        }
+        let run = &mut self.directory[i];
+        run.tail = tail;
+        run.len += n as u32;
+        run.oldest = run.oldest.min(oldest);
+        self.len += n;
+        self.oldest = Some(self.oldest.map_or(oldest, |t| t.min(oldest)));
+    }
+
+    /// The directory row of `query`, inserting an empty run (one fresh
+    /// segment, `oldest` at its maximum) if it has none.
+    fn open_run(&mut self, query: QueryId) -> usize {
+        match self.directory.binary_search_by_key(&query, |r| r.query) {
+            Ok(i) => i,
             Err(i) => {
                 let s = self.alloc_segment();
                 self.directory.insert(
                     i,
                     QueryRun {
-                        query: e.query,
+                        query,
                         head: s,
                         tail: s,
-                        len: 1,
-                        oldest: e.enqueued_at,
+                        len: 0,
+                        oldest: SimTime::from_micros(u64::MAX),
                     },
                 );
-                self.segments[s as usize].entries.push(e);
+                i
             }
         }
     }
@@ -531,18 +564,19 @@ impl WorkloadTable {
         let idx = item.bucket.index();
         assert!(idx < self.queues.len(), "unknown bucket {}", item.bucket);
         let was_empty = self.queues[idx].is_empty();
-        for &oi in &item.object_indices {
+        let entries = item.object_indices.iter().map(|&oi| {
             let obj = &query.objects[oi as usize];
-            self.queues[idx].push(QueueEntry {
+            QueueEntry {
                 query: query.id,
                 object_index: oi,
                 pos: obj.pos,
                 radius: obj.radius,
                 bbox: obj.bounding_range(),
                 enqueued_at: now,
-            });
-            self.total_queued += 1;
-        }
+            }
+        });
+        self.queues[idx].push_run(query.id, entries);
+        self.total_queued += item.object_indices.len() as u64;
         let q = &self.queues[idx];
         if q.is_empty() {
             return; // the item carried no object indices
@@ -970,6 +1004,7 @@ mod tests {
     use super::*;
     use crate::crossmatch::Predicate;
     use liferaft_storage::SimDuration;
+    use proptest::prelude::*;
 
     const LEVEL: u8 = 6;
 
@@ -1576,5 +1611,189 @@ mod tests {
         assert_eq!(oracle.probes.get(), 8, "fallback probes every bucket");
         assert!(!t.snapshot_of(BucketId(0)).unwrap().cached);
         t.validate_index();
+    }
+
+    /// Asserts two queues agree field for field: directory rows (head and
+    /// tail links included, so the segment allocation order), every slab
+    /// slot's entries and link, the free list, the counters and the memory
+    /// accounting.
+    fn assert_same_storage(a: &WorkloadQueue, b: &WorkloadQueue) {
+        let rows = |q: &WorkloadQueue| -> Vec<_> {
+            q.directory
+                .iter()
+                .map(|r| (r.query, r.head, r.tail, r.len, r.oldest))
+                .collect()
+        };
+        let slots = |q: &WorkloadQueue| -> Vec<_> {
+            q.segments
+                .iter()
+                .map(|s| (s.entries.clone(), s.next))
+                .collect()
+        };
+        assert_eq!(rows(a), rows(b), "directory rows");
+        assert_eq!(slots(a), slots(b), "segment slab");
+        assert_eq!(a.free, b.free, "free list");
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.oldest_enqueue(), b.oldest_enqueue());
+        assert_eq!(a.memory_stats(), b.memory_stats());
+    }
+
+    /// The reference: the per-entry append (a directory search for every
+    /// entry) that [`WorkloadQueue::push_run`] replaces.
+    fn push_one(q: &mut WorkloadQueue, e: QueueEntry) {
+        q.oldest = Some(match q.oldest {
+            Some(t) => t.min(e.enqueued_at),
+            None => e.enqueued_at,
+        });
+        q.len += 1;
+        match q.directory.binary_search_by_key(&e.query, |r| r.query) {
+            Ok(i) => {
+                let mut tail = q.directory[i].tail;
+                if q.segments[tail as usize].entries.len() == SEGMENT_CAPACITY {
+                    let s = q.alloc_segment();
+                    q.segments[tail as usize].next = s;
+                    q.directory[i].tail = s;
+                    tail = s;
+                }
+                let run = &mut q.directory[i];
+                run.len += 1;
+                run.oldest = run.oldest.min(e.enqueued_at);
+                q.segments[tail as usize].entries.push(e);
+            }
+            Err(i) => {
+                let s = q.alloc_segment();
+                let run = QueryRun {
+                    query: e.query,
+                    head: s,
+                    tail: s,
+                    len: 1,
+                    oldest: e.enqueued_at,
+                };
+                q.directory.insert(i, run);
+                q.segments[s as usize].entries.push(e);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Appending a run equals pushing its entries one by one, through
+        /// runs that cross segment boundaries and refills of segments freed
+        /// by either drain: same storage after every step, same drain order.
+        #[test]
+        fn push_run_equals_pushing_one_by_one(
+            ops in proptest::collection::vec((0u8..6, 0u64..5, 0usize..100, 0u64..50), 1..40),
+        ) {
+            let (mut runs, mut singles) = (WorkloadQueue::new(), WorkloadQueue::new());
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            let proto = raw_entry(0, 0, 0);
+            for &(kind, query, n, at_us) in &ops {
+                match kind {
+                    0..=3 => {
+                        let run: Vec<QueueEntry> = (0..n)
+                            .map(|i| QueueEntry {
+                                query: QueryId(query),
+                                object_index: i as u32,
+                                enqueued_at: SimTime::from_micros(at_us + (i as u64 * 7) % 13),
+                                ..proto.clone()
+                            })
+                            .collect();
+                        runs.push_run(QueryId(query), run.iter().cloned());
+                        for e in run {
+                            push_one(&mut singles, e);
+                        }
+                    }
+                    4 => {
+                        runs.drain_all_into(&mut out_a);
+                        singles.drain_all_into(&mut out_b);
+                        prop_assert_eq!(&out_a, &out_b);
+                    }
+                    _ => {
+                        runs.drain_query_into(QueryId(query), &mut out_a);
+                        singles.drain_query_into(QueryId(query), &mut out_b);
+                        prop_assert_eq!(&out_a, &out_b);
+                    }
+                }
+                runs.validate_segments();
+                assert_same_storage(&runs, &singles);
+                prop_assert_eq!(runs.pending_of(QueryId(query)), singles.pending_of(QueryId(query)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry outside its run")]
+    fn push_run_rejects_entries_of_another_query() {
+        let mut wq = WorkloadQueue::new();
+        wq.push_run(
+            QueryId(1),
+            [raw_entry(1, 0, 0), raw_entry(2, 1, 0)].into_iter(),
+        );
+    }
+
+    #[test]
+    fn enqueue_equals_merging_entries_one_by_one() {
+        // `merge_bucket` pushes entry by entry; `enqueue` appends each work
+        // item as one run. Items of 1, 31, 32, 33 and 70 objects cross
+        // segment boundaries, and the drains free segments for reuse.
+        let mut by_item = WorkloadTable::new(4);
+        let mut by_entry = WorkloadTable::new(4);
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        for (step, &n) in [1usize, 31, 32, 33, 70, 5, 64, 65].iter().enumerate() {
+            let mut q = entry_source(n);
+            q.id = QueryId(step as u64 % 3);
+            let bucket = BucketId((step % 2) as u32);
+            let now = SimTime::from_micros(100 - step as u64);
+            let item = WorkItem {
+                query: q.id,
+                bucket,
+                object_indices: (0..n as u32).rev().collect(),
+            };
+            by_item.enqueue(&item, &q, now);
+            let mut entries: Vec<QueueEntry> = item
+                .object_indices
+                .iter()
+                .map(|&oi| {
+                    let obj = &q.objects[oi as usize];
+                    QueueEntry {
+                        query: q.id,
+                        object_index: oi,
+                        pos: obj.pos,
+                        radius: obj.radius,
+                        bbox: obj.bounding_range(),
+                        enqueued_at: now,
+                    }
+                })
+                .collect();
+            by_entry.merge_bucket(bucket, &mut entries);
+            for b in 0..2 {
+                assert_same_storage(by_item.queue(BucketId(b)), by_entry.queue(BucketId(b)));
+                assert_eq!(
+                    by_item.snapshot_of(BucketId(b)),
+                    by_entry.snapshot_of(BucketId(b))
+                );
+            }
+            assert_eq!(by_item.total_queued(), by_entry.total_queued());
+            assert_eq!(by_item.memory_stats(), by_entry.memory_stats());
+            by_item.validate_index();
+            if step % 3 == 2 {
+                by_item.take_query_into(bucket, QueryId(1), &mut out_a);
+                by_entry.take_query_into(bucket, QueryId(1), &mut out_b);
+                assert_eq!(out_a, out_b);
+            }
+            if step == 4 {
+                by_item.take_all_into(BucketId(0), &mut out_a);
+                by_entry.take_all_into(BucketId(0), &mut out_b);
+                assert_eq!(out_a, out_b);
+            }
+        }
+        for b in 0..2 {
+            by_item.take_all_into(BucketId(b), &mut out_a);
+            by_entry.take_all_into(BucketId(b), &mut out_b);
+            assert_eq!(out_a, out_b);
+        }
+        assert_eq!(by_item.total_queued(), 0);
+        assert_eq!(by_item.memory_stats(), by_entry.memory_stats());
     }
 }
