@@ -12,11 +12,15 @@
 //!    the threaded replay matches the stepped plan bit-for-bit at 2/4/8
 //!    shards, a never-triggering policy is behaviour-neutral against the
 //!    static map, and a single elastic shard reproduces the goldens.
-//! 4. The **sweep driver** returns identical results at any thread count.
+//! 4. **Absolute multi-shard goldens**: static and elastic runs at 2/4/8
+//!    shards reproduce recorded global fingerprints and JSONL telemetry
+//!    hashes in both modes — pins 2 and 3 only compare the executors with
+//!    each other, so a change to both would otherwise go unnoticed.
+//! 5. The **sweep driver** returns identical results at any thread count.
 
 mod common;
 
-use common::{fingerprint, fixture, goldens, scheduler_factories};
+use common::{fingerprint, fixture, goldens, scheduler_factories, Fnv};
 use liferaft::prelude::*;
 use liferaft::runtime::{alpha_sweep, shard_sweep};
 
@@ -174,6 +178,53 @@ fn elastic_rebalancing_keeps_the_determinism_contract() {
             golden,
             "{label}: single elastic shard diverged from the simulation golden"
         );
+    }
+}
+
+/// `(scheduler, shards, elastic, global fingerprint, JSONL FNV-1a)` rows,
+/// recorded on the contiguous map with the JSONL recorder on; elastic rows
+/// rebalance every 30 s at `min_imbalance = 1.05`.
+const SHARDED_GOLDENS: [(&str, u32, bool, &str, u64); 12] = [
+    ("greedy", 2, false, "b=378 sb=349 ib=29 se=59935 cse=27975 reads=160 probes=85 hits=189 miss=160 ev=120 mk=406c3feb78897e99 mw=40da508000000000 oc=2190ac27c6e47c93", 0xab5c0b4ab29bbebb),
+    ("greedy", 4, false, "b=384 sb=360 ib=24 se=59935 cse=28479 reads=150 probes=69 hits=210 miss=150 ev=70 mk=406c3feb78897e99 mw=40c1392b851eb852 oc=9f0103ba50bd84b5", 0x0318766c8033d22b),
+    ("greedy", 8, false, "b=386 sb=365 ib=21 se=59935 cse=29521 reads=146 probes=63 hits=219 miss=146 ev=8 mk=406c3feb78897e99 mw=40b8ae5eb851eb85 oc=23bc3900f7ebf723", 0x82521daa9114e328),
+    ("greedy", 2, true, "b=378 sb=349 ib=29 se=59935 cse=27077 reads=160 probes=85 hits=189 miss=160 ev=120 mk=406c3feb78897e99 mw=40c917def9db22d1 oc=f8e86f617fbfe800", 0x91f16fb21f6d84cd),
+    ("greedy", 4, true, "b=384 sb=360 ib=24 se=59935 cse=28573 reads=149 probes=69 hits=211 miss=149 ev=69 mk=406c3feb78897e99 mw=40c1392b851eb852 oc=25d6532e2bd6cd19", 0x2d131af28d9c1f6b),
+    ("greedy", 8, true, "b=386 sb=365 ib=21 se=59935 cse=29521 reads=146 probes=63 hits=219 miss=146 ev=9 mk=406c3feb78897e99 mw=40b8ae5eb851eb85 oc=89791a05af6c8c91", 0xafa207ed5c06454a),
+    ("alpha05", 2, false, "b=371 sb=342 ib=29 se=59935 cse=26725 reads=161 probes=85 hits=181 miss=161 ev=121 mk=406c3feb78897e99 mw=40d0d6a147ae147b oc=d16825636f2f49b6", 0xe6e052698a0d68be),
+    ("alpha05", 4, false, "b=377 sb=353 ib=24 se=59935 cse=28367 reads=150 probes=69 hits=203 miss=150 ev=70 mk=406c3feb78897e99 mw=40bd082e147ae148 oc=fb9697e4b16d3bb3", 0xc42dbe1a7f2d1928),
+    ("alpha05", 8, false, "b=386 sb=365 ib=21 se=59935 cse=29521 reads=146 probes=63 hits=219 miss=146 ev=8 mk=406c3feb78897e99 mw=40bcefbd70a3d70a oc=2aadf90ae0a80949", 0x7a45bf7ce42ab7e3),
+    ("alpha05", 2, true, "b=368 sb=339 ib=29 se=59935 cse=26965 reads=160 probes=85 hits=179 miss=160 ev=120 mk=406c3feb78897e99 mw=40c598f5c28f5c29 oc=6288558c381a8fa1", 0x2cb215c163bce5bd),
+    ("alpha05", 4, true, "b=377 sb=353 ib=24 se=59935 cse=28461 reads=149 probes=69 hits=204 miss=149 ev=69 mk=406c3feb78897e99 mw=40bcf95c28f5c28f oc=30f1bcfed0448297", 0x7200c2013f560432),
+    ("alpha05", 8, true, "b=386 sb=365 ib=21 se=59935 cse=29521 reads=146 probes=63 hits=219 miss=146 ev=9 mk=406c3feb78897e99 mw=40bcefbd70a3d70a oc=7dd8b8d21c60d43b", 0xec523144470e3be7),
+];
+
+#[test]
+fn sharded_runs_reproduce_the_recorded_goldens() {
+    let (catalog, timed) = fixture();
+    let factories = scheduler_factories();
+    for (label, n_shards, elastic, golden, jsonl_golden) in SHARDED_GOLDENS {
+        let mk = factories
+            .iter()
+            .find(|(l, _)| *l == label)
+            .expect("a pinned scheduler")
+            .1;
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+        config.telemetry = TelemetryConfig::jsonl();
+        if elastic {
+            config.rebalance = RebalanceConfig::every(SimDuration::from_secs(30));
+            config.rebalance.min_imbalance = 1.05;
+        }
+        let rt = ShardedRuntime::new(&catalog, config);
+        for mode in [ExecMode::Stepped, ExecMode::Threaded] {
+            let report = rt.run(&timed, &mut |_| mk(), mode);
+            let mut h = Fnv::new();
+            h.write(report.telemetry.as_ref().unwrap().to_jsonl().as_bytes());
+            let got = fingerprint(&report.global);
+            let ctx = format!("{label} @ {n_shards} shards (elastic: {elastic}) via {mode:?}");
+            assert_eq!(got, golden, "{ctx}: global fingerprint");
+            assert_eq!(h.0, jsonl_golden, "{ctx}: JSONL telemetry hash");
+        }
     }
 }
 
