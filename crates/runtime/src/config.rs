@@ -445,9 +445,10 @@ pub enum ExecMode {
     /// reference semantics.
     Stepped,
     /// One `std::thread` worker per shard, results returned over `mpsc`.
-    /// Bit-identical to [`Stepped`](Self::Stepped): shards interact only
-    /// through the up-front routing and the post-hoc aggregation, both of
-    /// which are independent of interleaving.
+    /// Bit-identical to [`Stepped`](Self::Stepped): it replays the stepped
+    /// driver's decision logs, so shards interact only through the
+    /// up-front routing, the logged sync rounds, and the post-hoc
+    /// aggregation, all of which are independent of interleaving.
     Threaded,
 }
 

@@ -15,9 +15,11 @@
 //! [`ExecMode::Stepped`] is the deterministic reference: a single-threaded
 //! virtual-time merge of the shard event queues (earliest next event first,
 //! ties by shard id). [`ExecMode::Threaded`] runs one `std::thread` worker
-//! per shard with results over `mpsc`. The two are **bit-identical** for
-//! the same configuration and trace — shards interact only through the
-//! up-front routing and the order-canonicalized aggregation — and a
+//! per shard with results over `mpsc`, replaying the decision logs the
+//! stepped driver recorded. The two are **bit-identical** for the same
+//! configuration and trace — shards interact only through the up-front
+//! routing, the logged migration rounds, and the order-canonicalized
+//! aggregation — and a
 //! single-shard runtime reproduces `liferaft_sim::Simulation` exactly
 //! (both drive the same [`liferaft_sim::EngineCore`]); golden and property
 //! tests pin both claims.
@@ -112,14 +114,14 @@
 //! | module | contents |
 //! |---|---|
 //! | [`shard`] | shard identity, bucket → shard maps (contiguous / hashed / elastic) |
-//! | [`router`] | query → per-shard fragment routing (static, elastic, admitted) |
+//! | [`router`] | query → per-shard fragment routing (static, logged, admitted) |
 //! | [`worker`] | the per-shard admission-controlled serving loop |
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
 //! | [`admission`] | the global front door: classes, shedding, the decision log |
 //! | [`retry`] | the shared bounded-retry schedule (failover + transport) |
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
-//! | [`runtime`] | stepped/threaded drivers and global aggregation |
+//! | [`runtime`] | the stepped driver, threaded replays, and global aggregation |
 //! | [`config`] | runtime + admission + rebalance + fault configuration, execution mode |
 //! | [`sweep`] | the deterministic parallel sweep driver |
 
@@ -149,7 +151,7 @@ pub use failover::{
 };
 pub use rebalance::{EpochRecord, Migration, RebalanceLog};
 pub use retry::RetryPolicy;
-pub use router::{route, route_admitted, route_elastic, Fragment, Routing};
+pub use router::{route, route_admitted, Fragment, Routing};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
 pub use sweep::{

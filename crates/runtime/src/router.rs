@@ -6,10 +6,13 @@
 //! and completes; the cross-shard query completes when *all* its fragments
 //! have finished (the aggregation in `runtime` counts them down).
 //!
-//! Routing is a pure function of (partition, shard map, trace) — it depends
-//! on no execution state, which is the property that lets the threaded
-//! executor run shards fully independently yet bit-identically to the
+//! Routing is a pure function of (partition, shard map, trace, decision
+//! logs) — it depends on no execution state, which is the property that
+//! lets the threaded executor route every fragment up-front and run shards
+//! independently between controller rounds, yet bit-identically to the
 //! stepped reference.
+
+use std::collections::HashMap;
 
 use liferaft_catalog::Partition;
 use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, WorkItem};
@@ -17,7 +20,8 @@ use liferaft_storage::{BucketId, SimTime};
 use liferaft_workload::TimedTrace;
 
 use crate::admission::{AdmissionLog, QueryClass};
-use crate::rebalance::RebalanceLog;
+use crate::failover::{Evacuation, FailoverLog, Redelivery, ShardTransition};
+use crate::rebalance::{EpochRecord, RebalanceLog};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 
 /// One shard's slice of one query: the work items whose buckets the shard
@@ -83,55 +87,7 @@ pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routi
         map.num_buckets(),
         "shard map must cover the partition"
     );
-    route_with(partition, map.n_shards() as usize, trace, |_, b| {
-        map.shard_of(b)
-    })
-}
-
-/// Routes `trace` under an **evolving** elastic map: starting from `base`,
-/// the moves of every `log` record with `at <= arrival` are applied before
-/// a query routes — i.e. arrivals in the window `[T_k, T_{k+1})` see the
-/// map as the epoch-`k` rebalance left it. This is exactly the incremental
-/// routing the elastic stepped driver performs, re-derived as a pure
-/// function of `(base map, decision log, trace)` so the threaded executor
-/// can route everything up-front.
-pub fn route_elastic(
-    partition: &Partition,
-    base: &ShardMap,
-    log: &RebalanceLog,
-    trace: &TimedTrace,
-) -> Routing {
-    assert_eq!(
-        partition.num_buckets(),
-        base.num_buckets(),
-        "shard map must cover the partition"
-    );
-    let mut elastic = ElasticShardMap::new(*base);
-    let mut next_record = 0usize;
-    route_with(partition, base.n_shards() as usize, trace, |arrival, b| {
-        while log
-            .records
-            .get(next_record)
-            .is_some_and(|r| r.at <= arrival)
-        {
-            for m in &log.records[next_record].moves {
-                elastic.reassign(m.bucket, m.to);
-            }
-            next_record += 1;
-        }
-        elastic.shard_of(b)
-    })
-}
-
-/// The shared routing core: splits every query by `shard_of(arrival,
-/// bucket)`. Arrivals are visited in trace order, so a stateful `shard_of`
-/// may evolve monotonically with arrival time (the elastic path).
-fn route_with(
-    partition: &Partition,
-    n_shards: usize,
-    trace: &TimedTrace,
-    mut shard_of: impl FnMut(SimTime, BucketId) -> ShardId,
-) -> Routing {
+    let n_shards = map.n_shards() as usize;
     let pre = QueryPreProcessor::new(partition);
     let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
     let mut fragments_of = Vec::with_capacity(trace.len());
@@ -149,7 +105,7 @@ fn route_with(
             *arrival,
             QueryClass::Standard,
             query,
-            &mut |b| shard_of(*arrival, b),
+            &mut |b| map.shard_of(b),
             &mut split,
             &mut shards,
         );
@@ -173,9 +129,8 @@ fn route_with(
 /// Splits one query into per-shard fragments, appending them to `shards`
 /// (one stream per shard) and returning `(fragments, assignments)`. The
 /// zero-work convention (one empty fragment to shard 0) lives here, so the
-/// static router, the elastic replay router, the front-door replay router,
-/// and the stepped drivers' incremental routing all split queries with the
-/// same code.
+/// static router, both replay routers, and the stepped drivers' per-arrival
+/// routing all split queries with the same code.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn split_query(
     pre: &QueryPreProcessor<'_>,
@@ -234,7 +189,7 @@ pub(crate) fn split_query(
 /// queries route no fragments at all (their `fragments_of` entry is 0 —
 /// the aggregation synthesizes their `Rejected` outcome from the log).
 ///
-/// This is the front-door analogue of [`route_elastic`]: the pure function
+/// This is the front-door analogue of [`route_logged`]: the pure function
 /// of `(partition, map, trace, decision log)` that lets the threaded
 /// executor route everything up-front — no runtime coordination — yet land
 /// every shard on exactly the fragment stream the stepped planner produced.
@@ -295,7 +250,7 @@ pub fn route_admitted(
     }
 }
 
-/// Splits one arrival under the failover rules and appends the surviving
+/// Splits one arrival under the live pool and appends the surviving
 /// fragments to `out` (per-shard sinks): the query splits under the current
 /// elastic map exactly like any other arrival, then — with failover
 /// `enabled` — every fragment that landed on a **down** shard is popped
@@ -306,11 +261,11 @@ pub fn route_admitted(
 /// where `fragments` counts the original split (the cross-shard signal)
 /// and `delivered` the fragments actually shipped now.
 ///
-/// Shared verbatim by the stepped failover planner and the threaded
-/// replay's [`route_failover`], which is what keeps their per-shard
-/// fragment streams bit-identical.
+/// Shared verbatim by the stepped driver and the threaded replay's
+/// [`route_logged`], which is what keeps their per-shard fragment streams
+/// bit-identical.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn split_failover_arrival(
+pub(crate) fn split_arrival(
     pre: &QueryPreProcessor<'_>,
     query_index: usize,
     arrival: SimTime,
@@ -368,32 +323,94 @@ pub(crate) fn split_failover_arrival(
     (delivered, fragments, assignments)
 }
 
-/// Routes `trace` under a recorded [`FailoverLog`] (plus an optional
-/// [`RebalanceLog`] when elastic rebalancing ran alongside): the pure
-/// function of `(partition, base map, decision logs, trace)` that lets the
-/// threaded executor route everything up-front yet land every shard on
-/// exactly the fragment stream the stepped failover planner produced.
+/// One controller decision that changes the map or the pool, as the stepped
+/// driver processed it.
+pub(crate) enum Control<'l> {
+    /// An outage edge, with the evacuations its down edge made (empty for
+    /// an up edge, and for a down edge that found nothing to move).
+    Edge(&'l ShardTransition, Vec<&'l Evacuation>),
+    /// An epoch boundary and the moves it made.
+    Epoch(&'l EpochRecord),
+}
+
+impl Control<'_> {
+    /// The decision's boundary instant.
+    pub(crate) fn at(&self) -> SimTime {
+        match self {
+            Control::Edge(edge, _) => edge.at,
+            Control::Epoch(rec) => rec.at,
+        }
+    }
+
+    /// Whether the decision moved any bucket between shards.
+    pub(crate) fn moves_buckets(&self) -> bool {
+        match self {
+            Control::Edge(_, evacs) => !evacs.is_empty(),
+            Control::Epoch(rec) => !rec.moves.is_empty(),
+        }
+    }
+}
+
+/// Merges the outage edges of `failover` and the epoch records of
+/// `rebalance` into the stepped driver's processing order: by instant, with
+/// outage edges before epoch boundaries at equal instants. Both logs are
+/// time-sorted already; two edges at one instant stay in transition order.
+pub(crate) fn control_timeline<'l>(
+    failover: &'l FailoverLog,
+    rebalance: Option<&'l RebalanceLog>,
+) -> Vec<Control<'l>> {
+    let epochs: &[EpochRecord] = rebalance.map_or(&[], |rb| rb.records.as_slice());
+    let edge = |tr: &'l ShardTransition| {
+        let evacs = if tr.up {
+            Vec::new()
+        } else {
+            failover
+                .evacuations
+                .iter()
+                .filter(|e| e.boundary == tr.at && e.from == tr.shard)
+                .collect()
+        };
+        Control::Edge(tr, evacs)
+    };
+    let mut timeline = Vec::with_capacity(failover.transitions.len() + epochs.len());
+    let mut edges = failover.transitions.iter().peekable();
+    let mut records = epochs.iter().peekable();
+    loop {
+        let next = match (edges.peek(), records.peek()) {
+            (Some(tr), Some(rec)) if tr.at <= rec.at => edge(edges.next().expect("peeked")),
+            (Some(_), None) => edge(edges.next().expect("peeked")),
+            (_, Some(_)) => Control::Epoch(records.next().expect("peeked")),
+            (None, None) => break,
+        };
+        timeline.push(next);
+    }
+    timeline
+}
+
+/// Routes `trace` under the recorded decision logs — a [`FailoverLog`]
+/// (empty when no outage was injected) plus a [`RebalanceLog`] when elastic
+/// rebalancing ran: the pure function of `(partition, base map, decision
+/// logs, trace)` that lets the threaded executor route everything up-front
+/// yet land every shard on exactly the fragment stream the stepped driver
+/// produced. With both logs empty this is [`route`].
 ///
 /// Three event streams merge in time order — at equal instants, map/pool
-/// changes first (outage edges before epoch boundaries, as the planner
+/// changes first (outage edges before epoch boundaries, as the driver
 /// processes them), then arrivals, then re-deliveries:
 ///
-/// - **transitions** flip each shard's up/down state; a down edge also
-///   applies its boundary's evacuation reassignments, and an epoch record
-///   applies its moves — so arrivals at or after the instant route under
-///   the *new* map (`at <= arrival`, matching [`route_elastic`]);
-/// - **arrivals** split via `split_failover_arrival` — fragments landing
-///   on a dead shard are held back as lost;
+/// - **controller decisions** flip a shard's up/down state and apply the
+///   down edge's evacuation reassignments, or apply an epoch's moves — so
+///   arrivals at or after the instant route under the *new* map;
+/// - **arrivals** split via `split_arrival` — fragments landing on a dead
+///   shard are held back as lost;
 /// - **re-deliveries** (`to: Some`) re-release a held lost fragment on the
-///   planner's chosen live shard at the logged attempt instant. Lost
-///   fragments whose query the planner rejected are never re-released.
-///
-/// [`FailoverLog`]: crate::failover::FailoverLog
-pub fn route_failover(
+///   driver's chosen live shard at the logged attempt instant. Lost
+///   fragments whose query the driver rejected are never re-released.
+pub fn route_logged(
     partition: &Partition,
     base: &ShardMap,
     enabled: bool,
-    log: &crate::failover::FailoverLog,
+    log: &FailoverLog,
     rebalance: Option<&RebalanceLog>,
     trace: &TimedTrace,
 ) -> Routing {
@@ -414,67 +431,29 @@ pub fn route_failover(
     let mut total_assignments = 0u64;
     // Lost fragments awaiting re-delivery, keyed by (query, dead shard) —
     // one arrival loses at most one fragment per shard.
-    let mut lost: std::collections::HashMap<(usize, u32), Fragment> =
-        std::collections::HashMap::new();
+    let mut lost: HashMap<(usize, u32), Fragment> = HashMap::new();
     let mut lost_scratch: Vec<(u32, Fragment)> = Vec::new();
 
-    // Map/pool changes: outage edges carry their evacuation reassignments;
-    // epoch records carry their moves. Both logs are time-sorted; merge
-    // with transitions first at equal instants (planner order).
-    enum Change<'l> {
-        Transition(&'l crate::failover::ShardTransition),
-        Epoch(&'l crate::rebalance::EpochRecord),
-    }
-    let epochs: &[crate::rebalance::EpochRecord] =
-        rebalance.map_or(&[], |rb| rb.records.as_slice());
-    let mut changes: Vec<(SimTime, Change<'_>)> = Vec::new();
-    {
-        let (mut ti, mut ei) = (0usize, 0usize);
-        while ti < log.transitions.len() || ei < epochs.len() {
-            let take_transition = match (log.transitions.get(ti), epochs.get(ei)) {
-                (Some(t), Some(e)) => t.at <= e.at,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_transition {
-                changes.push((
-                    log.transitions[ti].at,
-                    Change::Transition(&log.transitions[ti]),
-                ));
-                ti += 1;
-            } else {
-                changes.push((epochs[ei].at, Change::Epoch(&epochs[ei])));
-                ei += 1;
-            }
-        }
-    }
-
+    let changes = control_timeline(log, rebalance);
     let entries = trace.entries();
-    let deliveries: Vec<&crate::failover::Redelivery> =
-        log.redeliveries.iter().filter(|r| r.to.is_some()).collect();
+    let deliveries: Vec<&Redelivery> = log.redeliveries.iter().filter(|r| r.to.is_some()).collect();
     let (mut ci, mut ai, mut ri) = (0usize, 0usize, 0usize);
     loop {
-        let tc = changes.get(ci).map(|c| c.0);
+        let tc = changes.get(ci).map(Control::at);
         let ta = entries.get(ai).map(|e| e.0);
         let tr = deliveries.get(ri).map(|r| r.at);
         let Some(t) = [tc, ta, tr].into_iter().flatten().min() else {
             break;
         };
         if tc == Some(t) {
-            match &changes[ci].1 {
-                Change::Transition(edge) => {
+            match &changes[ci] {
+                Control::Edge(edge, evacs) => {
                     up[edge.shard as usize] = edge.up;
-                    if !edge.up {
-                        for e in log
-                            .evacuations
-                            .iter()
-                            .filter(|e| e.boundary == edge.at && e.from == edge.shard)
-                        {
-                            elastic.reassign(e.bucket, ShardId(e.to));
-                        }
+                    for e in evacs {
+                        elastic.reassign(e.bucket, ShardId(e.to));
                     }
                 }
-                Change::Epoch(rec) => {
+                Control::Epoch(rec) => {
                     for m in &rec.moves {
                         elastic.reassign(m.bucket, m.to);
                     }
@@ -485,7 +464,7 @@ pub fn route_failover(
         }
         if ta == Some(t) {
             let (arrival, query) = &entries[ai];
-            let (delivered, fragments, assignments) = split_failover_arrival(
+            let (delivered, fragments, assignments) = split_arrival(
                 &pre,
                 ai,
                 *arrival,

@@ -1,24 +1,39 @@
 //! The sharded serving runtime: route → execute (stepped or threaded) →
 //! aggregate.
 //!
+//! # One driver
+//!
+//! Every run without the transport controller or the front door — static,
+//! elastic, failover, and elastic + failover — goes through one stepped
+//! driver: a single-threaded virtual-time merge of the shard event queues
+//! (earliest next event first, ties by shard id) with the rebalance and
+//! crash controllers in the loop. It records every controller decision in
+//! one pair of logs: a [`RebalanceLog`] of epoch moves and a
+//! [`FailoverLog`] of outage edges, evacuations and re-deliveries. The
+//! stepped mode *is* that driver: the reference, pinnable by golden tests
+//! and steppable under a debugger. The threaded mode replays the logs on
+//! one `std::thread` worker per shard. A run whose logs are empty by
+//! construction (rebalancing and failover off, no outages) skips the
+//! planning pass and replays the empty logs directly. The transport and
+//! front-door paths keep their own planners and replays.
+//!
 //! # Determinism contract
 //!
 //! Both execution modes produce **bit-identical** [`RuntimeReport`]s for
 //! the same (catalog, config, trace, scheduler factory):
 //!
-//! - Routing is a pure function of the shard map and the trace.
-//! - Each shard's behaviour is a pure function of its own fragment stream
-//!   (admission is shard-local), so workers never observe each other and
-//!   any stepping order yields the same per-shard results.
+//! - Routing is a pure function of the shard map, the trace, and the
+//!   decision logs: the replay routes every fragment up-front under the
+//!   logged map changes, exactly as the driver routed arrivals one by one.
+//! - Between controller decisions each shard's behaviour is a pure
+//!   function of its own fragment stream (per-shard admission is local),
+//!   so workers never observe each other and any stepping order yields the
+//!   same per-shard results. Shards meet only at *sync rounds* — the
+//!   logged decisions that moved buckets — where every worker steps to the
+//!   boundary and the payloads move in the driver's canonical order.
 //! - Aggregation merges per-shard completion streams in the canonical
 //!   `(completion time, shard id, shard event order)` order, which is
 //!   independent of how the shards were driven.
-//!
-//! The stepped mode is the reference: a single-threaded virtual-time merge
-//! of the shard event queues (earliest next event first, ties by shard id),
-//! pinnable by golden tests and steppable under a debugger. The threaded
-//! mode runs one `std::thread` worker per shard and collects results over
-//! an `mpsc` channel.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -44,8 +59,7 @@ use crate::failover::{
 };
 use crate::rebalance::{plan_moves, EpochRecord, RebalanceLog};
 use crate::router::{
-    route, route_admitted, route_elastic, route_failover, split_failover_arrival, split_query,
-    Fragment,
+    control_timeline, route, route_admitted, route_logged, split_arrival, Control, Fragment,
 };
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, TransportLog, TransportReport};
@@ -152,11 +166,17 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
-    /// With [`RebalanceConfig::enabled`](crate::config::RebalanceConfig)
-    /// the elastic path runs instead: a deterministic stepped planning pass
-    /// computes the epoch decision log, and — in threaded mode — a parallel
-    /// replay executes it verbatim (so the factory is invoked once per
-    /// shard per pass; it must keep returning equivalent schedulers).
+    /// Every run without the transport controller or the front door goes
+    /// through one stepped driver: static, elastic, failover, and
+    /// elastic + failover runs alike. [`ExecMode::Stepped`] *is* that driver;
+    /// [`ExecMode::Threaded`] first runs it to record the rebalance and
+    /// failover decision logs, then replays them verbatim on one thread per
+    /// shard. A run whose logs are empty by construction — rebalancing and
+    /// failover off, no outages injected — skips the planning pass and
+    /// replays the empty logs directly. The transport and front-door paths
+    /// keep their own planners and replays. The factory is invoked
+    /// once per shard per pass, so it must keep returning equivalent
+    /// schedulers.
     ///
     /// # Panics
     /// Panics if any shard's scheduler violates its contract, or if the run
@@ -170,20 +190,6 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         if self.config.transport.enabled {
             return self.run_transport(trace, mk_scheduler, mode);
         }
-        if self.config.failover.enabled || !self.config.faults.outages.is_empty() {
-            let (fo_log, rb_log, stepped) = self.plan_failover(trace, mk_scheduler);
-            return match mode {
-                ExecMode::Stepped => stepped,
-                ExecMode::Threaded => self.replay_failover(trace, mk_scheduler, fo_log, rb_log),
-            };
-        }
-        if self.config.rebalance.enabled {
-            let (log, stepped) = self.plan_elastic(trace, mk_scheduler);
-            return match mode {
-                ExecMode::Stepped => stepped,
-                ExecMode::Threaded => self.replay_elastic(trace, mk_scheduler, log),
-            };
-        }
         if self.config.front_door.enabled {
             let (log, stepped) = self.plan_front_door(trace, mk_scheduler);
             return match mode {
@@ -191,49 +197,51 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 ExecMode::Threaded => self.replay_front_door(trace, mk_scheduler, log),
             };
         }
-        let routing = route(self.catalog.partition(), &self.map, trace);
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
+        match mode {
+            ExecMode::Stepped => self.plan(trace, mk_scheduler).2,
+            ExecMode::Threaded if !self.config.rebalance.enabled && !self.failover_active() => {
+                self.replay(trace, mk_scheduler, FailoverLog::default(), None)
+            }
+            ExecMode::Threaded => {
+                let (fo_log, rb_log, _) = self.plan(trace, mk_scheduler);
+                self.replay(trace, mk_scheduler, fo_log, rb_log)
+            }
+        }
+    }
 
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
+    /// Whether the crash controller is in play: failover enabled, or outage
+    /// windows injected. Only then does a report carry a failover section.
+    fn failover_active(&self) -> bool {
+        self.config.failover.enabled || !self.config.faults.outages.is_empty()
+    }
+
+    /// One worker per shard: shard `i` is fed `streams[i]` and scheduled by
+    /// `mk_scheduler(i)`.
+    fn workers<'t>(
+        &'t self,
+        trace: &'t TimedTrace,
+        streams: Vec<Vec<Fragment>>,
+        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
+    ) -> Vec<ShardWorker<'t, C>> {
+        streams
             .into_iter()
             .enumerate()
             .map(|(i, fragments)| {
+                let shard = i as u32;
                 ShardWorker::new(
-                    ShardId(i as u32),
+                    ShardId(shard),
                     self.catalog,
                     self.config.sim,
                     self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
+                    self.config.faults.for_shard(shard),
+                    self.config.faults.outages_for_shard(shard),
                     trace.entries(),
                     fragments,
                     mk_scheduler(i),
                     self.config.telemetry.make_sink(),
                 )
             })
-            .collect();
-
-        let shard_runs = match mode {
-            ExecMode::Stepped => run_stepped(workers),
-            ExecMode::Threaded => run_threaded(workers),
-        };
-
-        let (global, _) = aggregate(trace, &assignments_of, &shard_runs, None, None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, None, None, None);
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
-            front_door: None,
-            failover: None,
-            transport: None,
-            telemetry,
-        }
+            .collect()
     }
 
     /// The transport path: route normally, resolve every fragment's
@@ -273,26 +281,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .collect();
 
         if tp.hedge.enabled {
-            let reference_workers: Vec<ShardWorker<'_, C>> = routing
-                .shards
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, fragments)| {
-                    ShardWorker::new(
-                        ShardId(i as u32),
-                        self.catalog,
-                        self.config.sim,
-                        self.config.admission,
-                        self.config.faults.for_shard(i as u32),
-                        self.config.faults.outages_for_shard(i as u32),
-                        entries,
-                        fragments,
-                        mk_scheduler(i),
-                        self.config.telemetry.make_sink(),
-                    )
-                })
-                .collect();
+            let reference_workers = self.workers(trace, routing.shards.clone(), mk_scheduler);
             let reference = run_stepped(reference_workers);
             let classes = FrontDoorConfig::disabled();
             let class_of: Vec<QueryClass> = routing
@@ -328,25 +317,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
         let total_fragments = routing.total_fragments();
         let assignments_of = routing.assignments_of;
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
+        let workers = self.workers(trace, routing.shards, mk_scheduler);
         let shard_runs = match mode {
             ExecMode::Stepped => run_stepped(workers),
             ExecMode::Threaded => run_threaded(workers),
@@ -398,302 +369,6 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         }
     }
 
-    /// The elastic reference pass: a stepped virtual-time merge with a
-    /// rebalance controller firing at every epoch boundary. Returns the
-    /// decision log alongside the finished report.
-    ///
-    /// Between boundaries this is exactly [`run_stepped`]: the worker with
-    /// the earliest next event advances one event — but only while that
-    /// event is strictly before the next boundary `T`. When every live
-    /// event sits at or beyond `T`, the controller samples per-shard load,
-    /// plans migrations ([`plan_moves`]), applies them (extract at the
-    /// sources, absorb at the destinations in bucket order, costs charged
-    /// to destination clocks), records the epoch, and routes the next
-    /// arrival window `[T, T + epoch)` under the updated map.
-    fn plan_elastic(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-    ) -> (RebalanceLog, RuntimeReport) {
-        let rb = self.config.rebalance;
-        let entries = trace.entries();
-        let partition = self.catalog.partition();
-        let pre = QueryPreProcessor::new(partition);
-        let n = self.config.n_shards as usize;
-
-        let mut workers: Vec<ShardWorker<'_, C>> = (0..n)
-            .map(|i| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    Vec::new(),
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        let mut elastic = ElasticShardMap::new(self.map);
-        let mut assignments_of = vec![0u64; entries.len()];
-        let mut cross_shard_queries = 0usize;
-        let mut total_fragments = 0usize;
-        let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n];
-        let mut window: Vec<Vec<Fragment>> = vec![Vec::new(); n];
-        let mut cursor = 0usize; // next unrouted trace entry
-        let mut fired = 0u32;
-        let mut records: Vec<EpochRecord> = Vec::new();
-
-        // Routes arrivals strictly before `bound` under the current map and
-        // hands the resulting window to the workers.
-        let mut route_until = |bound: SimTime,
-                               cursor: &mut usize,
-                               elastic: &ElasticShardMap,
-                               workers: &mut Vec<ShardWorker<'_, C>>,
-                               assignments_of: &mut Vec<u64>,
-                               cross_shard_queries: &mut usize,
-                               total_fragments: &mut usize| {
-            while let Some((arrival, query)) = entries.get(*cursor) {
-                if *arrival >= bound {
-                    break;
-                }
-                let (fragments, assignments) = split_query(
-                    &pre,
-                    *cursor,
-                    *arrival,
-                    *arrival,
-                    QueryClass::Standard,
-                    query,
-                    &mut |b| elastic.shard_of(b),
-                    &mut split,
-                    &mut window,
-                );
-                if fragments > 1 {
-                    *cross_shard_queries += 1;
-                }
-                assignments_of[*cursor] = assignments;
-                *total_fragments += fragments as usize;
-                *cursor += 1;
-            }
-            for (w, frags) in workers.iter_mut().zip(window.iter_mut()) {
-                if !frags.is_empty() {
-                    w.append_fragments(std::mem::take(frags));
-                }
-            }
-        };
-
-        // Initial window: [0, T_1).
-        route_until(
-            SimTime::ZERO + rb.epoch,
-            &mut cursor,
-            &elastic,
-            &mut workers,
-            &mut assignments_of,
-            &mut cross_shard_queries,
-            &mut total_fragments,
-        );
-
-        loop {
-            let t = SimTime::ZERO + rb.epoch.times(fired as u64 + 1);
-            let mut earliest: Option<(SimTime, usize)> = None;
-            for (i, w) in workers.iter().enumerate() {
-                if let Some(wt) = w.next_time() {
-                    // Strict `<` keeps the lowest shard index on time ties.
-                    if earliest.map_or(true, |(bt, _)| wt < bt) {
-                        earliest = Some((wt, i));
-                    }
-                }
-            }
-            match earliest {
-                Some((wt, i)) if wt < t => {
-                    let advanced = workers[i].step();
-                    debug_assert!(advanced, "a shard with a next event must advance");
-                    continue;
-                }
-                None if cursor >= entries.len() => break, // fully drained
-                _ => {} // every live event is at/after the boundary: fire it
-            }
-
-            fired += 1;
-            let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
-            let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
-            let moves = plan_moves(&rb, &loads, &depths, &vec![true; n]);
-
-            // Extract every payload first (sources are untouched by other
-            // moves' absorptions), then absorb per destination in bucket
-            // order — the canonical order the threaded replay reproduces.
-            let mut payloads: Vec<(usize, MigratedBucket)> = moves
-                .iter()
-                .map(|m| {
-                    let p = workers[m.from.index()].extract_bucket(m.bucket, t, rb.warm_residency);
-                    debug_assert_eq!(p.len() as u64, m.entries, "plan drifted from state");
-                    (m.to.index(), p)
-                })
-                .collect();
-            payloads.sort_by_key(|(to, p)| (*to, p.bucket));
-            for (to, p) in payloads {
-                let cost = rb.migration_fixed + rb.migration_per_entry.times(p.len() as u64);
-                workers[to].absorb_payload(p, t, cost, rb.warm_residency);
-            }
-
-            records.push(EpochRecord {
-                epoch: fired,
-                at: t,
-                loads,
-                serviced: workers.iter().map(ShardWorker::serviced).collect(),
-                resident: workers.iter().map(|w| w.resident() as u32).collect(),
-                moves: moves.clone(),
-            });
-            for m in &moves {
-                elastic.reassign(m.bucket, m.to);
-            }
-
-            // Route the next arrival window under the updated map.
-            route_until(
-                t + rb.epoch,
-                &mut cursor,
-                &elastic,
-                &mut workers,
-                &mut assignments_of,
-                &mut cross_shard_queries,
-                &mut total_fragments,
-            );
-        }
-
-        let shard_runs: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
-        let log = RebalanceLog {
-            epoch: rb.epoch,
-            records,
-        };
-        let (global, _) = aggregate(trace, &assignments_of, &shard_runs, None, None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, Some(&log), None, None, None);
-        let report = RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: Some(log.clone()),
-            front_door: None,
-            failover: None,
-            transport: None,
-            telemetry,
-        };
-        (log, report)
-    }
-
-    /// The elastic parallel executor: routes the whole trace up-front under
-    /// the evolving map ([`route_elastic`]), then runs one thread per shard
-    /// that replays the decision log verbatim — a double-barrier handshake
-    /// per move-bearing boundary: step to the boundary, barrier, send the
-    /// outgoing payloads, barrier, absorb the incoming ones (sorted by
-    /// bucket id, the planning pass's canonical order).
-    fn replay_elastic(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        log: RebalanceLog,
-    ) -> RuntimeReport {
-        let rb = self.config.rebalance;
-        let routing = route_elastic(self.catalog.partition(), &self.map, &log, trace);
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
-        let n = self.config.n_shards as usize;
-
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        // Only boundaries that actually moved buckets synchronize the pool;
-        // a move-free boundary is behaviour-neutral by construction.
-        let sync_records: Vec<&EpochRecord> =
-            log.records.iter().filter(|r| !r.moves.is_empty()).collect();
-        let barrier = Barrier::new(n);
-        let mut senders: Vec<mpsc::Sender<MigratedBucket>> = Vec::with_capacity(n);
-        let mut receivers: Vec<mpsc::Receiver<MigratedBucket>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let (tx_done, rx_done) = mpsc::channel::<(usize, ShardRun)>();
-        std::thread::scope(|scope| {
-            for ((i, mut worker), rx) in workers.into_iter().enumerate().zip(receivers) {
-                let tx_done = tx_done.clone();
-                let senders = senders.clone();
-                let barrier = &barrier;
-                let sync_records = &sync_records;
-                scope.spawn(move || {
-                    for rec in sync_records {
-                        let t = rec.at;
-                        while worker.next_time().is_some_and(|wt| wt < t) {
-                            worker.step();
-                        }
-                        barrier.wait();
-                        for m in &rec.moves {
-                            if m.from.index() != i {
-                                continue;
-                            }
-                            let p = worker.extract_bucket(m.bucket, t, rb.warm_residency);
-                            assert_eq!(p.len() as u64, m.entries, "replay diverged from plan");
-                            senders[m.to.index()]
-                                .send(p)
-                                .expect("peer outlives the handshake");
-                        }
-                        barrier.wait();
-                        let mut incoming: Vec<MigratedBucket> = rx.try_iter().collect();
-                        incoming.sort_by_key(|p| p.bucket);
-                        for p in incoming {
-                            let cost =
-                                rb.migration_fixed + rb.migration_per_entry.times(p.len() as u64);
-                            worker.absorb_payload(p, t, cost, rb.warm_residency);
-                        }
-                    }
-                    while worker.step() {}
-                    tx_done
-                        .send((i, worker.into_run()))
-                        .expect("the driver outlives its workers");
-                });
-            }
-        });
-        drop(tx_done);
-        let shard_runs = crate::sweep::collect_indexed(rx_done, n);
-
-        let (global, _) = aggregate(trace, &assignments_of, &shard_runs, None, None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, Some(&log), None, None, None);
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: Some(log),
-            front_door: None,
-            failover: None,
-            transport: None,
-            telemetry,
-        }
-    }
-
     /// The front-door reference pass: a stepped virtual-time merge with the
     /// global admission controller in the loop. Returns the decision log
     /// alongside the finished report.
@@ -721,22 +396,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let pre = QueryPreProcessor::new(self.catalog.partition());
         let n = self.config.n_shards as usize;
 
-        let mut workers: Vec<ShardWorker<'_, C>> = (0..n)
-            .map(|i| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    Vec::new(),
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
+        let mut workers = self.workers(trace, vec![Vec::new(); n], mk_scheduler);
 
         let mut door = FrontDoor::new(fd, entries.len(), n);
         let mut assignments_of = vec![0u64; entries.len()];
@@ -889,25 +549,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let assignments_of = routing.assignments_of;
         let cross_shard_queries = routing.cross_shard_queries;
 
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
+        let workers = self.workers(trace, routing.shards, mk_scheduler);
 
         let shard_runs = run_threaded(workers);
         let (global, front_door) =
@@ -926,17 +568,20 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         }
     }
 
-    /// The failover reference pass: a stepped virtual-time merge with the
-    /// crash controller in the loop — taken whenever outage windows are
-    /// injected or failover is enabled. Returns the failover decision log
-    /// and the epoch log (when rebalancing also runs) alongside the
+    /// The stepped driver and reference semantics of every run without a
+    /// front door or transport: a single-threaded virtual-time merge of the
+    /// shard event queues with the rebalance and crash controllers in the
+    /// loop. Returns the failover decision log (empty unless outages were
+    /// injected) and the epoch log (when rebalancing runs) alongside the
     /// finished report.
     ///
     /// Four controller event sources interleave with worker events in
     /// virtual-time order; at equal instants the priority is fault boundary
     /// → epoch boundary → arrival → re-delivery, and a worker only steps
     /// while its next event is *strictly* earlier than every controller
-    /// event (worker ties break on the lowest shard id):
+    /// event (worker ties break on the lowest shard id). With no controller
+    /// configured only arrivals remain, and the driver is the plain merge:
+    /// the earliest next event advances, arrivals entering at their instant.
     ///
     /// - **fault boundaries** record a [`ShardTransition`]; a down edge
     ///   with failover enabled evacuates every non-empty bucket off the
@@ -944,8 +589,10 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ///   buckets are placed; costs charge to the destinations) and updates
     ///   the elastic map, while an up edge re-admits the — now empty and
     ///   cold — shard to the pool.
-    /// - **epoch boundaries** (rebalancing enabled) run the elastic
-    ///   planner with dead shards masked out of [`plan_moves`].
+    /// - **epoch boundaries** (rebalancing enabled) sample per-shard load,
+    ///   plan migrations with dead shards masked out ([`plan_moves`]), and
+    ///   apply them: extract at the sources, absorb per destination in
+    ///   bucket order, costs charged to the destination clocks.
     /// - **arrivals** split under the live map; a fragment released into a
     ///   dead shard is lost in flight and queues its first re-delivery
     ///   attempt at `arrival + redelivery_timeout`.
@@ -953,7 +600,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ///   live shard, or — when nothing is up — fail and back off
     ///   exponentially until `max_redeliveries` attempts reject the query
     ///   (a terminal outcome: every query still ends exactly once).
-    fn plan_failover(
+    fn plan(
         &self,
         trace: &TimedTrace,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
@@ -965,22 +612,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let pre = QueryPreProcessor::new(self.catalog.partition());
         let n = self.config.n_shards as usize;
 
-        let mut workers: Vec<ShardWorker<'_, C>> = (0..n)
-            .map(|i| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    Vec::new(),
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
+        let mut workers = self.workers(trace, vec![Vec::new(); n], mk_scheduler);
 
         // Outage edges in processing order: time, downs before ups, shard.
         let mut boundaries: Vec<(SimTime, bool, u32)> = Vec::new();
@@ -1037,8 +669,8 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                     }
                 }
             }
-            // Termination mirrors `plan_elastic`: the epoch clock alone
-            // (`te` ticks forever) never keeps the loop alive.
+            // The epoch clock alone (`te` ticks forever) never keeps the
+            // loop alive.
             if tb.is_none() && ta.is_none() && tr.is_none() && tw.is_none() {
                 break;
             }
@@ -1105,8 +737,10 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             }
 
             if te == Some(t) {
-                // Epoch boundary, exactly `plan_elastic` with dead shards
-                // masked out of the planner.
+                // Epoch boundary. Extract every payload first (sources are
+                // untouched by other moves' absorptions), then absorb per
+                // destination in bucket order — the canonical order the
+                // threaded replay reproduces.
                 fired += 1;
                 let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
                 let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
@@ -1141,7 +775,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
             if ta == Some(t) {
                 let (arrival, query) = &entries[cursor];
-                let (delivered, fragments, assignments) = split_failover_arrival(
+                let (delivered, fragments, assignments) = split_arrival(
                     &pre,
                     cursor,
                     *arrival,
@@ -1231,72 +865,46 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             evacuations,
             redeliveries,
         };
-        let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
-        let rejected = fo_log.rejected_queries(fo.max_redeliveries, &arrivals, &assignments_of);
-        debug_assert_eq!(
-            rejected.len(),
-            rejected_q.iter().filter(|&&r| r).count(),
-            "log-derived rejections must match the planner's"
-        );
-        let mut fo_rejected = vec![false; entries.len()];
-        for r in &rejected {
-            fo_rejected[r.index] = true;
-        }
-        let recovery_lag = recovery_lag_probe(&fo_log, |d, t| workers[d].next_completion_after(t));
-
-        let shard_runs: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
         let rb_log = rb.enabled.then_some(RebalanceLog {
             epoch: rb.epoch,
             records,
         });
-        let (global, _) = aggregate(
+        let last_ev = fo_log.evacuations.iter().map(|e| e.at).max();
+        let finished = workers
+            .into_iter()
+            .map(|w| {
+                let probe = last_ev.and_then(|t| w.next_completion_after(t));
+                (w.into_run(), probe)
+            })
+            .collect();
+        let report = self.finish(
             trace,
+            finished,
             &assignments_of,
-            &shard_runs,
-            None,
-            Some(&fo_rejected),
-            None,
-        );
-        let failover = build_failover_report(
-            &fo_log,
-            trace,
-            &assignments_of,
-            rejected,
-            &global,
-            recovery_lag,
-        );
-        let telemetry = self.build_telemetry(
-            trace,
-            &shard_runs,
-            rb_log.as_ref(),
-            None,
-            Some(&fo_log),
-            None,
-        );
-        let report = RuntimeReport {
-            global,
-            shards: shard_runs,
             cross_shard_queries,
             total_fragments,
-            rebalance: rb_log.clone(),
-            front_door: None,
-            failover: Some(failover),
-            transport: None,
-            telemetry,
-        };
+            &fo_log,
+            rb_log.as_ref(),
+        );
+        debug_assert_eq!(
+            report.failover.as_ref().map_or(0, |f| f.rejected.len()),
+            rejected_q.iter().filter(|&&r| r).count(),
+            "log-derived rejections must match the driver's"
+        );
         (fo_log, rb_log, report)
     }
 
-    /// The failover parallel executor: routes the whole trace up-front
-    /// under the recorded logs ([`route_failover`]) and replays the plan
-    /// verbatim — one thread per shard, with a double-barrier handshake per
-    /// *sync round*. A sync round is a down boundary that evacuated buckets
-    /// or a move-bearing epoch record, merged in the planner's processing
-    /// order (downs before epochs at equal instants): step to the boundary,
-    /// barrier, send outgoing payloads, barrier, absorb incoming ones in
-    /// bucket order. Up edges, loss, and re-delivery need no coordination —
-    /// they are already baked into the routed fragment streams.
-    fn replay_failover(
+    /// The threaded replay of [`plan`](Self::plan)'s decision logs: routes
+    /// the whole trace up-front under the logs ([`route_logged`]) and runs
+    /// one thread per shard, with a double-barrier handshake per *sync
+    /// round*. A sync round is a controller decision that moved buckets — an
+    /// evacuating down edge or a move-bearing epoch — in [`control_timeline`]
+    /// order: step to the boundary, barrier, send outgoing payloads,
+    /// barrier, absorb incoming ones in bucket order. Up edges, move-free
+    /// boundaries, loss, and re-delivery need no coordination — they are
+    /// already baked into the routed fragment streams — so with empty logs
+    /// every shard runs free.
+    fn replay(
         &self,
         trace: &TimedTrace,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
@@ -1305,7 +913,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ) -> RuntimeReport {
         let fo = self.config.failover;
         let rb = self.config.rebalance;
-        let routing = route_failover(
+        let routing = route_logged(
             self.catalog.partition(),
             &self.map,
             fo.enabled,
@@ -1314,78 +922,17 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             trace,
         );
         let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
         let n = self.config.n_shards as usize;
+        let workers = self.workers(trace, routing.shards, mk_scheduler);
 
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
+        // Two down edges at one instant stay *sequential* rounds (in
+        // transition order) — a bucket evacuated onto a shard that dies at
+        // the same instant moves again in the second round, exactly as the
+        // driver decided.
+        let rounds: Vec<Control<'_>> = control_timeline(&fo_log, rb_log.as_ref())
             .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
+            .filter(Control::moves_buckets)
             .collect();
-
-        // Sync rounds in planner order. Two down edges at one instant stay
-        // *sequential* rounds (in transition order) — a bucket evacuated
-        // onto a shard that dies at the same instant moves again in the
-        // second round, exactly as the planner decided.
-        enum Round<'l> {
-            Evac {
-                boundary: SimTime,
-                evacs: Vec<&'l Evacuation>,
-            },
-            Epoch(&'l EpochRecord),
-        }
-        let down_rounds: Vec<(SimTime, Vec<&Evacuation>)> = fo_log
-            .transitions
-            .iter()
-            .filter(|tr| !tr.up)
-            .map(|tr| {
-                let evacs: Vec<&Evacuation> = fo_log
-                    .evacuations
-                    .iter()
-                    .filter(|e| e.boundary == tr.at && e.from == tr.shard)
-                    .collect();
-                (tr.at, evacs)
-            })
-            .filter(|(_, evacs)| !evacs.is_empty())
-            .collect();
-        let epoch_rounds: Vec<&EpochRecord> = rb_log.as_ref().map_or(Vec::new(), |l| {
-            l.records.iter().filter(|r| !r.moves.is_empty()).collect()
-        });
-        let mut rounds: Vec<Round<'_>> = Vec::new();
-        {
-            let mut di = down_rounds.into_iter().peekable();
-            let mut ei = epoch_rounds.into_iter().peekable();
-            loop {
-                let take_down = match (di.peek(), ei.peek()) {
-                    (Some(d), Some(e)) => d.0 <= e.at,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_down {
-                    let (boundary, evacs) = di.next().expect("peeked");
-                    rounds.push(Round::Evac { boundary, evacs });
-                } else {
-                    rounds.push(Round::Epoch(ei.next().expect("peeked")));
-                }
-            }
-        }
-
         let last_ev: Option<SimTime> = fo_log.evacuations.iter().map(|e| e.at).max();
         let barrier = Barrier::new(n);
         type Payload = (SimTime, SimDuration, bool, MigratedBucket);
@@ -1405,16 +952,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 let rounds = &rounds;
                 scope.spawn(move || {
                     for round in rounds {
-                        let t = match round {
-                            Round::Evac { boundary, .. } => *boundary,
-                            Round::Epoch(rec) => rec.at,
-                        };
+                        let t = round.at();
                         while worker.next_time().is_some_and(|wt| wt < t) {
                             worker.step();
                         }
                         barrier.wait();
                         match round {
-                            Round::Evac { evacs, .. } => {
+                            Control::Edge(_, evacs) => {
                                 for e in evacs {
                                     if e.from as usize != i {
                                         continue;
@@ -1432,7 +976,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                                         .expect("peer outlives the handshake");
                                 }
                             }
-                            Round::Epoch(rec) => {
+                            Control::Epoch(rec) => {
                                 for m in &rec.moves {
                                     if m.from.index() != i {
                                         continue;
@@ -1467,50 +1011,74 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             }
         });
         drop(tx_done);
-        let finished: Vec<(ShardRun, Option<SimTime>)> = crate::sweep::collect_indexed(rx_done, n);
-        let probes: Vec<Option<SimTime>> = finished.iter().map(|(_, p)| *p).collect();
-        let shard_runs: Vec<ShardRun> = finished.into_iter().map(|(r, _)| r).collect();
-        let recovery_lag = recovery_lag_probe(&fo_log, |d, _| probes[d]);
+        let finished = crate::sweep::collect_indexed(rx_done, n);
+        self.finish(
+            trace,
+            finished,
+            &routing.assignments_of,
+            routing.cross_shard_queries,
+            total_fragments,
+            &fo_log,
+            rb_log.as_ref(),
+        )
+    }
 
+    /// Folds a [`plan`](Self::plan) or [`replay`](Self::replay) run — each
+    /// shard's run plus its first batch completion after the last
+    /// evacuation — into the report: the global aggregate, the failover
+    /// section (`None` unless the crash controller is in play), and the
+    /// flight recorder.
+    #[allow(clippy::too_many_arguments)]
+    fn finish(
+        &self,
+        trace: &TimedTrace,
+        finished: Vec<(ShardRun, Option<SimTime>)>,
+        assignments_of: &[u64],
+        cross_shard_queries: usize,
+        total_fragments: usize,
+        fo_log: &FailoverLog,
+        rb_log: Option<&RebalanceLog>,
+    ) -> RuntimeReport {
+        let (shard_runs, probes): (Vec<ShardRun>, Vec<Option<SimTime>>) =
+            finished.into_iter().unzip();
         let entries = trace.entries();
         let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
-        let rejected = fo_log.rejected_queries(fo.max_redeliveries, &arrivals, &assignments_of);
+        let rejected = fo_log.rejected_queries(
+            self.config.failover.max_redeliveries,
+            &arrivals,
+            assignments_of,
+        );
         let mut fo_rejected = vec![false; entries.len()];
         for r in &rejected {
             fo_rejected[r.index] = true;
         }
         let (global, _) = aggregate(
             trace,
-            &assignments_of,
+            assignments_of,
             &shard_runs,
             None,
             Some(&fo_rejected),
             None,
         );
-        let failover = build_failover_report(
-            &fo_log,
-            trace,
-            &assignments_of,
-            rejected,
-            &global,
-            recovery_lag,
-        );
-        let telemetry = self.build_telemetry(
-            trace,
-            &shard_runs,
-            rb_log.as_ref(),
-            None,
-            Some(&fo_log),
-            None,
-        );
+        let failover = self.failover_active().then(|| {
+            build_failover_report(
+                fo_log,
+                trace,
+                assignments_of,
+                rejected,
+                &global,
+                recovery_lag(fo_log, &probes),
+            )
+        });
+        let telemetry = self.build_telemetry(trace, &shard_runs, rb_log, None, Some(fo_log), None);
         RuntimeReport {
             global,
             shards: shard_runs,
             cross_shard_queries,
             total_fragments,
-            rebalance: rb_log,
+            rebalance: rb_log.cloned(),
             front_door: None,
-            failover: Some(failover),
+            failover,
             transport: None,
             telemetry,
         }
@@ -1733,9 +1301,9 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     }
 }
 
-/// The reference executor: a deterministic virtual-time merge. Repeatedly
-/// advance the shard with the earliest next event (ties broken by shard id)
-/// by exactly one event until every shard has drained.
+/// The stepped merge over fragment streams fixed up-front (the transport
+/// path): repeatedly advance the shard with the earliest next event (ties
+/// broken by shard id) by exactly one event until every shard has drained.
 fn run_stepped<C: Catalog + ?Sized>(mut workers: Vec<ShardWorker<'_, C>>) -> Vec<ShardRun> {
     loop {
         let mut earliest: Option<(SimTime, usize)> = None;
@@ -1754,9 +1322,10 @@ fn run_stepped<C: Catalog + ?Sized>(mut workers: Vec<ShardWorker<'_, C>>) -> Vec
     workers.into_iter().map(ShardWorker::into_run).collect()
 }
 
-/// The parallel executor: one OS thread per shard, fragment streams fixed
-/// up-front, finished runs returned over an `mpsc` channel and re-ordered
-/// by shard id.
+/// The free-running parallel executor for the transport and front-door
+/// paths: one OS thread per shard, fragment streams fixed up-front,
+/// finished runs returned over an `mpsc` channel and re-ordered by shard
+/// id.
 fn run_threaded<C: Catalog + Sync + ?Sized>(workers: Vec<ShardWorker<'_, C>>) -> Vec<ShardRun> {
     let n = workers.len();
     let (tx, rx) = mpsc::channel::<(usize, ShardRun)>();
@@ -2055,16 +1624,13 @@ fn build_front_door_report(
 /// The recovery-lag headline: the gap between the last evacuation instant
 /// and the earliest batch a *destination* shard completed after it (`None`
 /// when nothing was evacuated, or no destination completed work afterward).
-/// `probe(shard, t)` reads that shard's first recorded batch completion
-/// strictly after `t`.
-fn recovery_lag_probe(
-    log: &FailoverLog,
-    mut probe: impl FnMut(usize, SimTime) -> Option<SimTime>,
-) -> Option<SimDuration> {
+/// `probes[shard]` is that shard's first recorded batch completion strictly
+/// after the last evacuation instant.
+fn recovery_lag(log: &FailoverLog, probes: &[Option<SimTime>]) -> Option<SimDuration> {
     let t = log.evacuations.iter().map(|e| e.at).max()?;
     log.evacuations
         .iter()
-        .filter_map(|e| probe(e.to as usize, t))
+        .filter_map(|e| probes[e.to as usize])
         .min()
         .map(|ct| ct.since(t))
 }
@@ -2241,6 +1807,49 @@ mod tests {
                 assert_eq!(a.report.outcomes, b.report.outcomes);
                 assert_eq!(a.admission, b.admission);
             }
+            for report in [&stepped, &threaded] {
+                assert!(report.rebalance.is_none());
+                assert!(report.failover.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn scheduler_factory_runs_once_per_shard_per_pass() {
+        use crate::config::RebalanceConfig;
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture(12, 0.5);
+        let n = 4;
+        let mut elastic = RuntimeConfig::contiguous(SimConfig::paper(), n);
+        elastic.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+        let cases = [
+            (
+                RuntimeConfig::contiguous(SimConfig::paper(), n),
+                ExecMode::Stepped,
+                n,
+            ),
+            // Static logs are empty by construction: no planning pass.
+            (
+                RuntimeConfig::contiguous(SimConfig::paper(), n),
+                ExecMode::Threaded,
+                n,
+            ),
+            (elastic.clone(), ExecMode::Stepped, n),
+            (elastic, ExecMode::Threaded, 2 * n),
+        ];
+        for (config, mode, expected) in cases {
+            let elastic = config.rebalance.enabled;
+            let rt = ShardedRuntime::new(&cat, config);
+            let mut calls = 0u32;
+            rt.run(
+                &timed,
+                &mut |_| {
+                    calls += 1;
+                    greedy()
+                },
+                mode,
+            );
+            assert_eq!(calls, expected, "{mode:?} (elastic: {elastic})");
         }
     }
 
@@ -2387,6 +1996,10 @@ mod tests {
         let rt_off = ShardedRuntime::new(&cat, off);
         let static_run = rt_off.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
         assert!(static_run.rebalance.is_none());
+        // Neither path runs the crash controller, so neither reports on it.
+        assert!(stepped.failover.is_none());
+        assert!(threaded.failover.is_none());
+        assert!(static_run.failover.is_none());
         // And an enabled-but-never-triggering policy is behaviour-neutral.
         let mut never = config.clone();
         never.rebalance.min_imbalance = 1e12;
