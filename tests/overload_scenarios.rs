@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{fingerprint, scheduler_factories};
+use common::{fingerprint, scheduler_factories, Fnv};
 use liferaft::prelude::*;
 
 /// The catalog every scenario replays against (matches
@@ -157,6 +157,68 @@ fn every_scenario_is_deterministic_across_executors_and_schedulers() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `(scenario, scheduler, global fingerprint, JSONL FNV-1a, FNV-1a of the
+/// front-door report's `Debug` text)` rows for every scenario that runs
+/// behind the front door: 4 shards, the suite's [`door`] tuning, the
+/// scenario's stalls, and the JSONL recorder on.
+const DOOR_GOLDENS: [(&str, &str, &str, u64, u64); 10] = [
+    ("flash_crowd", "NoShare", "b=274 sb=274 ib=0 se=21003 cse=0 reads=274 probes=0 hits=0 miss=0 ev=0 mk=4065c64e18266773 mw=40fd117d851eb852 oc=3d1b446c8352f174", 0x377de8361791ab1d, 0x1f0dc5fd8d59f515),
+    ("flash_crowd", "greedy", "b=279 sb=263 ib=16 se=49964 cse=32875 reads=78 probes=39 hits=185 miss=78 ev=8 mk=4053844aa53fc009 mw=40d3d1be353f7cee oc=6ecc207f4aa05ff3", 0xac62c3e25392b7a3, 0x3c556ca23c1d96bb),
+    ("diurnal_cycle", "NoShare", "b=274 sb=274 ib=0 se=21003 cse=0 reads=274 probes=0 hits=0 miss=0 ev=0 mk=4066a995bbbe8790 mw=4101287700000000 oc=6a9f0e9550c68461", 0xbfac79c36e0d0e35, 0x037f19893e054e26),
+    ("diurnal_cycle", "greedy", "b=293 sb=275 ib=18 se=49964 cse=34431 reads=77 probes=43 hits=198 miss=77 ev=8 mk=404caa4cf8d716d3 mw=40d4b54b43958106 oc=c6c18551d8db128e", 0xd872b214f606a964, 0x7bda8b085ede6a76),
+    ("hotspot_drift", "NoShare", "b=375 sb=375 ib=0 se=19669 cse=0 reads=375 probes=0 hits=0 miss=0 ev=0 mk=406665170931012a mw=41030c0b16872b02 oc=9db5dce51a0b4a56", 0x4fa06848f9c59131, 0x63139fd516599048),
+    ("hotspot_drift", "greedy", "b=446 sb=330 ib=116 se=50685 cse=39657 reads=118 probes=291 hits=212 miss=118 ev=38 mk=4050f662ed352221 mw=40efe1ab4bc6a7f0 oc=bc066fb989cabe71", 0xdace888a94e03ec1, 0x245950b2e8063355),
+    ("interactive_batch_mix", "NoShare", "b=179 sb=179 ib=0 se=10340 cse=0 reads=179 probes=0 hits=0 miss=0 ev=0 mk=405b239f59ccfaf0 mw=40f4bd2543958106 oc=c3f22a7487f3a30a", 0xe808d396ceeaa330, 0x01c89dd7a8ed71c7),
+    ("interactive_batch_mix", "greedy", "b=216 sb=185 ib=31 se=44304 cse=33378 reads=54 probes=80 hits=131 miss=54 ev=1 mk=4040dbe79ee02a78 mw=40cd4c0000000000 oc=f541d4a1882918e6", 0x0342015b52b38a8a, 0xc5b90f524ed621cb),
+    ("shard_stall", "NoShare", "b=268 sb=268 ib=0 se=20234 cse=0 reads=268 probes=0 hits=0 miss=0 ev=0 mk=406ccfb5bf6a0dbb mw=41058dc0020c49ba oc=033face953045805", 0x657f530efff9c15e, 0x60f26fc659945a06),
+    ("shard_stall", "greedy", "b=288 sb=269 ib=19 se=49964 cse=33863 reads=80 probes=43 hits=189 miss=80 ev=10 mk=4056786f0cfe1544 mw=40edad1a978d4fdf oc=9dcd1ffbe549a25b", 0xf6630c68aaa5a193, 0xeb685e0a927a21cf),
+];
+
+#[test]
+fn front_door_runs_reproduce_the_recorded_goldens() {
+    let catalog = scenario_catalog();
+    let scale = ScenarioScale::small();
+    let factories = scheduler_factories();
+    let door_kinds: Vec<ScenarioKind> = ScenarioKind::ALL
+        .into_iter()
+        .filter(|&k| pool_config(&build_scenario(k, &scale)).front_door.enabled)
+        .collect();
+    for kind in &door_kinds {
+        assert!(
+            DOOR_GOLDENS.iter().any(|row| row.0 == kind.name()),
+            "{}: a front-door scenario without goldens",
+            kind.name()
+        );
+    }
+    for (scenario, label, golden, jsonl_golden, door_golden) in DOOR_GOLDENS {
+        let kind = *door_kinds
+            .iter()
+            .find(|k| k.name() == scenario)
+            .expect("a front-door scenario");
+        let mk = factories
+            .iter()
+            .find(|(l, _)| *l == label)
+            .expect("a pinned scheduler")
+            .1;
+        let fx = build_scenario(kind, &scale);
+        let mut config = pool_config(&fx);
+        config.telemetry = TelemetryConfig::jsonl();
+        let rt = ShardedRuntime::new(&catalog, config);
+        for mode in [ExecMode::Stepped, ExecMode::Threaded] {
+            let report = rt.run(&fx.trace, &mut |_| mk(), mode);
+            let mut jsonl = Fnv::new();
+            jsonl.write(report.telemetry.as_ref().unwrap().to_jsonl().as_bytes());
+            let mut fd = Fnv::new();
+            fd.write(format!("{:?}", report.front_door).as_bytes());
+            let got = fingerprint(&report.global);
+            let ctx = format!("{scenario} / {label} via {mode:?}");
+            assert_eq!(got, golden, "{ctx}: global fingerprint");
+            assert_eq!(jsonl.0, jsonl_golden, "{ctx}: JSONL telemetry hash");
+            assert_eq!(fd.0, door_golden, "{ctx}: front-door report hash");
         }
     }
 }
