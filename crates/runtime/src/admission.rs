@@ -21,20 +21,22 @@
 //!
 //! # Determinism
 //!
-//! Decisions are made **once**, by the stepped reference merge
-//! (`plan_front_door` in `runtime`), and recorded as an [`AdmissionLog`]:
-//! one [`QueryVerdict`] per trace entry plus epoch-indexed
-//! [`AdmissionSample`]s. The threaded executor never decides anything — it
-//! routes the admitted queries in logged admission (`seq`) order with their
-//! logged release times and runs shards free of any cross-thread
-//! coordination, which reproduces the stepped run bit-for-bit: a shard's
-//! behaviour is a pure function of its release-ordered fragment stream.
+//! Decisions are made **once**, by the runtime's one stepped driver (the
+//! door is one more controller in its loop), and recorded as an
+//! [`AdmissionLog`]: one [`QueryVerdict`] per trace entry plus
+//! epoch-indexed [`AdmissionSample`]s. The threaded executor never decides
+//! anything — it routes the admitted queries in logged admission (`seq`)
+//! order with their logged release times and runs shards free of any
+//! cross-thread coordination, which reproduces the stepped run
+//! bit-for-bit: a shard's behaviour is a pure function of its
+//! release-ordered fragment stream.
 
 use std::collections::BTreeSet;
 
 use liferaft_metrics::Summary;
-use liferaft_query::WorkItem;
 use liferaft_storage::{SimDuration, SimTime};
+
+use crate::router::Fragment;
 
 /// Priority class of a query at the front door, derived from its routed
 /// workload size (total object × bucket assignments): small exploratory
@@ -371,7 +373,7 @@ impl FrontDoorReport {
     }
 }
 
-/// A query pending at the front door (planning pass only).
+/// A query pending at the front door (stepped driver only).
 #[derive(Debug, Clone)]
 pub(crate) struct PendingQuery {
     /// Trace index.
@@ -382,14 +384,14 @@ pub(crate) struct PendingQuery {
     pub(crate) class: QueryClass,
     /// Total assignments across all shards.
     pub(crate) assignments: u64,
-    /// Pre-split per-shard work: `(shard index, items)`, non-empty shards
-    /// only (empty for a zero-work query).
-    pub(crate) split: Vec<(usize, Vec<WorkItem>)>,
+    /// The query's fragments as split at arrival, `(shard index, fragment)`
+    /// in shard order — a zero-work query's one empty fragment included.
+    pub(crate) fragments: Vec<(usize, Fragment)>,
     retries: u32,
     eligible_at: SimTime,
 }
 
-/// The controller state machine. Driven only by the stepped planning pass;
+/// The controller state machine. Driven only by the stepped driver;
 /// everything it decides lands in the [`AdmissionLog`].
 pub(crate) struct FrontDoor {
     cfg: FrontDoorConfig,
@@ -435,15 +437,16 @@ impl FrontDoor {
         }
     }
 
-    /// Registers an arrival (trace order; at most once per index).
+    /// Registers an arrival (trace order; at most once per index) with its
+    /// fragments as split at arrival.
     pub(crate) fn ingest(
         &mut self,
         index: usize,
         arrival: SimTime,
         class: QueryClass,
-        assignments: u64,
-        split: Vec<(usize, Vec<WorkItem>)>,
+        fragments: Vec<(usize, Fragment)>,
     ) {
+        let assignments = fragments.iter().map(|(_, f)| f.assignments).sum();
         debug_assert!(
             self.verdicts[index].is_none(),
             "query {index} ingested twice"
@@ -456,7 +459,7 @@ impl FrontDoor {
             arrival,
             class,
             assignments,
-            split,
+            fragments,
             retries: 0,
             eligible_at: arrival,
         });
@@ -518,10 +521,12 @@ impl FrontDoor {
                     None => true,
                     Some(cap) => {
                         inflight == 0
-                            || p.split.iter().all(|(s, items)| {
-                                let a: u64 = items.iter().map(|i| i.len() as u64).sum();
+                            || p.fragments.iter().all(|(s, f)| {
+                                // A zero-work fragment consumes nothing.
                                 let cur = self.admitted_per_shard[*s] - shard_serviced[*s];
-                                cur == 0 || cur.saturating_add(a) <= cap
+                                f.assignments == 0
+                                    || cur == 0
+                                    || cur.saturating_add(f.assignments) <= cap
                             })
                     }
                 };
@@ -537,8 +542,8 @@ impl FrontDoor {
             self.active_assignments -= p.assignments;
             inflight += p.assignments;
             self.admitted_assignments += p.assignments;
-            for (s, items) in &p.split {
-                self.admitted_per_shard[*s] += items.iter().map(|i| i.len() as u64).sum::<u64>();
+            for (s, f) in &p.fragments {
+                self.admitted_per_shard[*s] += f.assignments;
             }
             self.verdicts[idx] = Some(QueryVerdict {
                 class: p.class,
@@ -622,7 +627,7 @@ impl FrontDoor {
         self.rejected_queries += 1;
     }
 
-    /// Finishes the planning pass into the log.
+    /// Finishes the driver's pass into the log.
     ///
     /// # Panics
     /// Panics if any query never reached a terminal verdict — a liveness
@@ -644,19 +649,24 @@ impl FrontDoor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liferaft_query::QueryId;
+    use liferaft_query::{QueryId, WorkItem};
     use liferaft_storage::BucketId;
 
-    fn item(objects: usize) -> WorkItem {
-        WorkItem {
+    fn split_one(shard: usize, objects: usize) -> Vec<(usize, Fragment)> {
+        let fragment = Fragment {
+            query_index: 0,
             query: QueryId(0),
-            bucket: BucketId(0),
-            object_indices: (0..objects as u32).collect(),
-        }
-    }
-
-    fn split_one(shard: usize, objects: usize) -> Vec<(usize, Vec<WorkItem>)> {
-        vec![(shard, vec![item(objects)])]
+            arrival: SimTime::ZERO,
+            release: SimTime::ZERO,
+            class: QueryClass::Standard,
+            items: vec![WorkItem {
+                query: QueryId(0),
+                bucket: BucketId(0),
+                object_indices: (0..objects as u32).collect(),
+            }],
+            assignments: objects as u64,
+        };
+        vec![(shard, fragment)]
     }
 
     fn at(s: u64) -> SimTime {
@@ -688,9 +698,9 @@ mod tests {
         // interactive (youngest). Priority admits interactive first, and the
         // global head-of-line rule then blocks everything else.
         let mut door = FrontDoor::new(cfg(50), 3, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 30, split_one(0, 30));
-        door.ingest(1, at(2), QueryClass::Standard, 30, split_one(0, 30));
-        door.ingest(2, at(3), QueryClass::Interactive, 30, split_one(0, 30));
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 30));
+        door.ingest(1, at(2), QueryClass::Standard, split_one(0, 30));
+        door.ingest(2, at(3), QueryClass::Interactive, split_one(0, 30));
         let mut admitted = Vec::new();
         door.pump(at(3), &[0], |p, _| admitted.push(p.index));
         assert_eq!(admitted, vec![2], "interactive admits first, rest blocked");
@@ -713,7 +723,7 @@ mod tests {
     #[test]
     fn oversized_queries_admit_from_an_empty_pool() {
         let mut door = FrontDoor::new(cfg(10), 1, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 500, split_one(0, 500));
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 500));
         let mut admitted = Vec::new();
         door.pump(at(1), &[0], |p, _| admitted.push(p.index));
         assert_eq!(admitted, vec![0], "empty pool admits anything");
@@ -722,13 +732,25 @@ mod tests {
     #[test]
     fn zero_work_queries_never_block() {
         let mut door = FrontDoor::new(cfg(10), 2, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 500, split_one(0, 500));
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 500));
         let mut admitted = Vec::new();
         door.pump(at(1), &[0], |p, _| admitted.push(p.index));
         assert_eq!(admitted, vec![0]);
         // Pool saturated (500 in flight against a bound of 10) — yet a
         // zero-work arrival still admits immediately.
-        door.ingest(1, at(2), QueryClass::Interactive, 0, Vec::new());
+        door.ingest(1, at(2), QueryClass::Interactive, split_one(0, 0));
+        door.pump(at(2), &[0], |p, _| admitted.push(p.index));
+        assert_eq!(admitted, vec![0, 1]);
+
+        // Nor does the per-shard bound block them: the zero-work query's
+        // empty fragment targets a shard far over its bound.
+        let mut c = cfg(1_000);
+        c.max_shard_inflight_assignments = Some(100);
+        let mut door = FrontDoor::new(c, 2, 1);
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 500));
+        let mut admitted = Vec::new();
+        door.pump(at(1), &[0], |p, _| admitted.push(p.index));
+        door.ingest(1, at(2), QueryClass::Interactive, split_one(0, 0));
         door.pump(at(2), &[0], |p, _| admitted.push(p.index));
         assert_eq!(admitted, vec![0, 1]);
     }
@@ -739,12 +761,12 @@ mod tests {
         c.max_waiting_assignments = Some(200);
         let mut door = FrontDoor::new(c, 3, 1);
         // Saturate the pool so nothing admits.
-        door.ingest(0, at(1), QueryClass::Batch, 400, split_one(0, 400));
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 400));
         door.pump(at(1), &[0], |_, _| {});
         // Two batch waiters push the queue over the soft cap (240 > 200):
         // shedding the *youngest* brings it back under, so the older stays.
-        door.ingest(1, at(2), QueryClass::Batch, 120, split_one(0, 120));
-        door.ingest(2, at(3), QueryClass::Batch, 120, split_one(0, 120));
+        door.ingest(1, at(2), QueryClass::Batch, split_one(0, 120));
+        door.ingest(2, at(3), QueryClass::Batch, split_one(0, 120));
         door.pump(at(3), &[0], |_, _| panic!("nothing admits"));
         assert!(door.has_active(), "the older batch waiter stays");
         let wake = door.next_wakeup().expect("youngest is in backoff");
@@ -779,13 +801,13 @@ mod tests {
         let mut c = cfg(10);
         c.hard_waiting_assignments = Some(100);
         let mut door = FrontDoor::new(c, 4, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 400, split_one(0, 400));
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 400));
         door.pump(at(1), &[0], |_, _| {});
         // Three standard waiters (60 each): the hard cap evicts the two
         // youngest, never the oldest.
-        door.ingest(1, at(2), QueryClass::Standard, 60, split_one(0, 60));
-        door.ingest(2, at(3), QueryClass::Standard, 60, split_one(0, 60));
-        door.ingest(3, at(4), QueryClass::Standard, 60, split_one(0, 60));
+        door.ingest(1, at(2), QueryClass::Standard, split_one(0, 60));
+        door.ingest(2, at(3), QueryClass::Standard, split_one(0, 60));
+        door.ingest(3, at(4), QueryClass::Standard, split_one(0, 60));
         door.pump(at(4), &[0], |_, _| {});
         door.pump(at(100), &[400], |_, _| {});
         door.pump(at(200), &[460], |_, _| {});
@@ -803,10 +825,10 @@ mod tests {
         // Shard 0 saturated by an older standard query; an even older
         // standard query targeting it again is shard-blocked, but a younger
         // one for shard 1 bypasses the head of the line.
-        door.ingest(0, at(1), QueryClass::Standard, 90, split_one(0, 90));
+        door.ingest(0, at(1), QueryClass::Standard, split_one(0, 90));
         door.pump(at(1), &[0, 0], |_, _| {});
-        door.ingest(1, at(2), QueryClass::Standard, 90, split_one(0, 90));
-        door.ingest(2, at(3), QueryClass::Standard, 90, split_one(1, 90));
+        door.ingest(1, at(2), QueryClass::Standard, split_one(0, 90));
+        door.ingest(2, at(3), QueryClass::Standard, split_one(1, 90));
         let mut admitted = Vec::new();
         door.pump(at(3), &[0, 0], |p, _| admitted.push(p.index));
         assert_eq!(admitted, vec![2], "the healthy shard's query bypasses");
@@ -822,7 +844,7 @@ mod tests {
         let mut c = cfg(1_000);
         c.sample_epoch = SimDuration::from_secs(10);
         let mut door = FrontDoor::new(c, 1, 1);
-        door.ingest(0, at(5), QueryClass::Standard, 50, split_one(0, 50));
+        door.ingest(0, at(5), QueryClass::Standard, split_one(0, 50));
         door.pump(at(5), &[0], |_, _| {});
         door.pump(at(35), &[50], |_, _| {});
         let log = door.into_log();
@@ -839,9 +861,9 @@ mod tests {
         // Closing the log with a query still waiting is a driver liveness
         // bug; the planner must refuse to paper over it.
         let mut door = FrontDoor::new(cfg(10), 2, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 400, split_one(0, 400));
+        door.ingest(0, at(1), QueryClass::Batch, split_one(0, 400));
         door.pump(at(1), &[0], |_, _| {});
-        door.ingest(1, at(2), QueryClass::Batch, 120, split_one(0, 120));
+        door.ingest(1, at(2), QueryClass::Batch, split_one(0, 120));
         let _ = door.into_log();
     }
 

@@ -44,12 +44,13 @@
 //! order — queue at true arrival age, shed batch-class work into bounded
 //! retries with exponential virtual-time backoff, and finally reject with
 //! a recorded verdict that conserves accounting (every query is
-//! exactly-once terminal: completed or rejected). Like rebalancing, all
-//! decisions are planned once in the stepped merge and recorded as an
-//! [`AdmissionLog`] the threaded executor replays verbatim. [`FaultPlan`]
-//! injects per-shard slowdown windows (the controller's per-shard bound
-//! routes traffic around the backlog), and `liferaft_sim`'s scenario suite
-//! provides the canonical overload fixtures.
+//! exactly-once terminal: completed or rejected). Like rebalancing, the
+//! door is one more controller in the stepped driver: its decisions are
+//! made once there and recorded as an [`AdmissionLog`] the threaded
+//! executor replays verbatim. [`FaultPlan`] injects per-shard slowdown
+//! windows (the controller's per-shard bound routes traffic around the
+//! backlog), and `liferaft_sim`'s scenario suite provides the canonical
+//! overload fixtures.
 //!
 //! # Crash & failover
 //!
@@ -114,7 +115,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`shard`] | shard identity, bucket → shard maps (contiguous / hashed / elastic) |
-//! | [`router`] | query → per-shard fragment routing (static, logged, admitted) |
+//! | [`router`] | query → per-shard fragment routing (static, and replayed under the decision logs) |
 //! | [`worker`] | the per-shard admission-controlled serving loop |
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
@@ -151,7 +152,7 @@ pub use failover::{
 };
 pub use rebalance::{EpochRecord, Migration, RebalanceLog};
 pub use retry::RetryPolicy;
-pub use router::{route, route_admitted, Fragment, Routing};
+pub use router::{route, Fragment, Routing};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
 pub use sweep::{

@@ -49,14 +49,14 @@ pub struct Fragment {
 }
 
 /// The routing of one trace across one shard map.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Routing {
     /// Per-shard fragment streams, each in arrival order.
     pub shards: Vec<Vec<Fragment>>,
     /// Per trace index: number of fragments the query split into (at least
     /// 1 for every routed query — a query whose pre-processing produced no
     /// work ships as one empty fragment, see [`route`]; exactly 0 for a
-    /// query the front door rejected, see [`route_admitted`]).
+    /// query the front door rejected, see [`route_logged`]).
     pub fragments_of: Vec<u32>,
     /// Per trace index: total assignments across all fragments.
     pub assignments_of: Vec<u64>,
@@ -129,8 +129,8 @@ pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routi
 /// Splits one query into per-shard fragments, appending them to `shards`
 /// (one stream per shard) and returning `(fragments, assignments)`. The
 /// zero-work convention (one empty fragment to shard 0) lives here, so the
-/// static router, both replay routers, and the stepped drivers' per-arrival
-/// routing all split queries with the same code.
+/// static router, the replay router, and the stepped driver's per-arrival
+/// routing (front door included) all split queries with the same code.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn split_query(
     pre: &QueryPreProcessor<'_>,
@@ -183,76 +183,10 @@ pub(crate) fn split_query(
     (fragments, assignments)
 }
 
-/// Routes the **admitted** subset of `trace` per a recorded
-/// [`AdmissionLog`]: queries append to the per-shard streams in admission
-/// (`seq`) order, each released at its logged admission time; rejected
-/// queries route no fragments at all (their `fragments_of` entry is 0 —
-/// the aggregation synthesizes their `Rejected` outcome from the log).
-///
-/// This is the front-door analogue of [`route_logged`]: the pure function
-/// of `(partition, map, trace, decision log)` that lets the threaded
-/// executor route everything up-front — no runtime coordination — yet land
-/// every shard on exactly the fragment stream the stepped planner produced.
-pub fn route_admitted(
-    partition: &Partition,
-    map: &ShardMap,
-    trace: &TimedTrace,
-    log: &AdmissionLog,
-) -> Routing {
-    assert_eq!(
-        partition.num_buckets(),
-        map.num_buckets(),
-        "shard map must cover the partition"
-    );
-    assert_eq!(log.verdicts.len(), trace.len(), "one verdict per query");
-    let n_shards = map.n_shards() as usize;
-    let pre = QueryPreProcessor::new(partition);
-    let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
-    let mut fragments_of = vec![0u32; trace.len()];
-    let mut assignments_of = vec![0u64; trace.len()];
-    let mut cross_shard_queries = 0usize;
-    let mut total_assignments = 0u64;
-    let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
-
-    for (query_index, release) in log.admissions_in_seq_order() {
-        let (arrival, query) = &trace.entries()[query_index];
-        let (fragments, assignments) = split_query(
-            &pre,
-            query_index,
-            *arrival,
-            release,
-            log.verdicts[query_index].class,
-            query,
-            &mut |b| map.shard_of(b),
-            &mut split,
-            &mut shards,
-        );
-        if fragments > 1 {
-            cross_shard_queries += 1;
-        }
-        fragments_of[query_index] = fragments;
-        assignments_of[query_index] = assignments;
-        total_assignments += assignments;
-    }
-    // Rejected queries never route, but their workload stays on record.
-    for (i, v) in log.verdicts.iter().enumerate() {
-        if !v.admitted() {
-            assignments_of[i] = v.assignments;
-        }
-    }
-
-    Routing {
-        shards,
-        fragments_of,
-        assignments_of,
-        cross_shard_queries,
-        total_assignments,
-    }
-}
-
-/// Splits one arrival under the live pool and appends the surviving
-/// fragments to `out` (per-shard sinks): the query splits under the current
-/// elastic map exactly like any other arrival, then — with failover
+/// Splits one arrival, released at `release` with class `class`, under the
+/// live pool and appends the surviving fragments to `out` (per-shard
+/// sinks): the query splits under the current elastic map exactly like any
+/// other arrival, then — with failover
 /// `enabled` — every fragment that landed on a **down** shard is popped
 /// back off the stream and reported in `lost` (it was released into a dead
 /// shard: lost in flight, to be re-delivered later), and a zero-work
@@ -269,6 +203,8 @@ pub(crate) fn split_arrival(
     pre: &QueryPreProcessor<'_>,
     query_index: usize,
     arrival: SimTime,
+    release: SimTime,
+    class: QueryClass,
     query: &CrossMatchQuery,
     enabled: bool,
     up: &[bool],
@@ -281,8 +217,8 @@ pub(crate) fn split_arrival(
         pre,
         query_index,
         arrival,
-        arrival,
-        QueryClass::Standard,
+        release,
+        class,
         query,
         &mut |b| elastic.shard_of(b),
         split,
@@ -388,21 +324,26 @@ pub(crate) fn control_timeline<'l>(
 }
 
 /// Routes `trace` under the recorded decision logs — a [`FailoverLog`]
-/// (empty when no outage was injected) plus a [`RebalanceLog`] when elastic
-/// rebalancing ran: the pure function of `(partition, base map, decision
-/// logs, trace)` that lets the threaded executor route everything up-front
-/// yet land every shard on exactly the fragment stream the stepped driver
-/// produced. With both logs empty this is [`route`].
+/// (empty when no outage was injected), a [`RebalanceLog`] when elastic
+/// rebalancing ran, and an [`AdmissionLog`] when the front door ran: the
+/// pure function of `(partition, base map, decision logs, trace)` that lets
+/// the threaded executor route everything up-front yet land every shard on
+/// exactly the fragment stream the stepped driver produced. With every log
+/// empty or absent this is [`route`].
 ///
 /// Three event streams merge in time order — at equal instants, map/pool
 /// changes first (outage edges before epoch boundaries, as the driver
-/// processes them), then arrivals, then re-deliveries:
+/// processes them), then releases, then re-deliveries:
 ///
 /// - **controller decisions** flip a shard's up/down state and apply the
 ///   down edge's evacuation reassignments, or apply an epoch's moves — so
 ///   arrivals at or after the instant route under the *new* map;
-/// - **arrivals** split via `split_arrival` — fragments landing on a dead
-///   shard are held back as lost;
+/// - **releases** split via `split_arrival` — fragments landing on a dead
+///   shard are held back as lost. Without an admission log every query is
+///   released at its arrival as [`QueryClass::Standard`]; with one, only
+///   the admitted queries are, in admission (`seq`) order at their logged
+///   instants with their verdicts' classes. A rejected query routes no
+///   fragment (`fragments_of` is 0) but keeps its workload on record;
 /// - **re-deliveries** (`to: Some`) re-release a held lost fragment on the
 ///   driver's chosen live shard at the logged attempt instant. Lost
 ///   fragments whose query the driver rejected are never re-released.
@@ -412,6 +353,7 @@ pub fn route_logged(
     enabled: bool,
     log: &FailoverLog,
     rebalance: Option<&RebalanceLog>,
+    admission: Option<&AdmissionLog>,
     trace: &TimedTrace,
 ) -> Routing {
     assert_eq!(
@@ -436,11 +378,31 @@ pub fn route_logged(
 
     let changes = control_timeline(log, rebalance);
     let entries = trace.entries();
+    let releases: Vec<(usize, SimTime, QueryClass)> = match admission {
+        None => entries
+            .iter()
+            .enumerate()
+            .map(|(i, (arrival, _))| (i, *arrival, QueryClass::Standard))
+            .collect(),
+        Some(door) => {
+            assert_eq!(door.verdicts.len(), trace.len(), "one verdict per query");
+            // Rejected queries never route, but their workload stays on record.
+            for (i, v) in door.verdicts.iter().enumerate() {
+                if !v.admitted() {
+                    assignments_of[i] = v.assignments;
+                }
+            }
+            door.admissions_in_seq_order()
+                .into_iter()
+                .map(|(i, at)| (i, at, door.verdicts[i].class))
+                .collect()
+        }
+    };
     let deliveries: Vec<&Redelivery> = log.redeliveries.iter().filter(|r| r.to.is_some()).collect();
     let (mut ci, mut ai, mut ri) = (0usize, 0usize, 0usize);
     loop {
         let tc = changes.get(ci).map(Control::at);
-        let ta = entries.get(ai).map(|e| e.0);
+        let ta = releases.get(ai).map(|r| r.1);
         let tr = deliveries.get(ri).map(|r| r.at);
         let Some(t) = [tc, ta, tr].into_iter().flatten().min() else {
             break;
@@ -463,11 +425,14 @@ pub fn route_logged(
             continue;
         }
         if ta == Some(t) {
-            let (arrival, query) = &entries[ai];
+            let (qi, release, class) = releases[ai];
+            let (arrival, query) = &entries[qi];
             let (delivered, fragments, assignments) = split_arrival(
                 &pre,
-                ai,
+                qi,
                 *arrival,
+                release,
+                class,
                 query,
                 enabled,
                 &up,
@@ -477,13 +442,13 @@ pub fn route_logged(
                 &mut lost_scratch,
             );
             for (from, f) in lost_scratch.drain(..) {
-                lost.insert((ai, from), f);
+                lost.insert((qi, from), f);
             }
             if fragments > 1 {
                 cross_shard_queries += 1;
             }
-            fragments_of[ai] = delivered;
-            assignments_of[ai] = assignments;
+            fragments_of[qi] = delivered;
+            assignments_of[qi] = assignments;
             total_assignments += assignments;
             ai += 1;
             continue;
@@ -606,6 +571,83 @@ mod tests {
         assert!(f.items.is_empty());
         assert_eq!(f.assignments, 0);
         assert!(routing.shards[1..].iter().all(|s| s.is_empty()));
+    }
+
+    #[test]
+    fn logged_routing_replays_admissions_in_seq_order() {
+        use crate::admission::{Disposition, QueryVerdict};
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture();
+        let map = ShardMap::hashed(cat.partition().num_buckets(), 4, 1);
+        let plain = route(cat.partition(), &map, &timed);
+        let no_logs = FailoverLog::default();
+        let logged = |admission| {
+            route_logged(
+                cat.partition(),
+                &map,
+                false,
+                &no_logs,
+                None,
+                admission,
+                &timed,
+            )
+        };
+
+        // Without an admission log (and empty failover logs) this is `route`.
+        assert_eq!(logged(None), plain);
+
+        // Queries 2 and 7 are rejected; the rest admit out of arrival
+        // order, two per instant, with mixed classes.
+        let order = [1usize, 0, 3, 4, 6, 5, 9, 8];
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let mut verdicts: Vec<QueryVerdict> = (0..timed.len())
+            .map(|i| QueryVerdict {
+                class: QueryClass::ALL[i % 3],
+                assignments: plain.assignments_of[i],
+                sheds: 0,
+                decision: Disposition::Rejected { at: at(30) },
+            })
+            .collect();
+        for (seq, &i) in order.iter().enumerate() {
+            verdicts[i].decision = Disposition::Admitted {
+                at: at(20 + seq as u64 / 2),
+                seq: seq as u64,
+            };
+        }
+        let log = AdmissionLog {
+            verdicts,
+            ..AdmissionLog::default()
+        };
+        let routing = logged(Some(&log));
+        assert!(routing.cross_shard_queries > 0, "fixture must split");
+        for (s, stream) in routing.shards.iter().enumerate() {
+            let seqs: Vec<usize> = stream
+                .iter()
+                .map(|f| order.iter().position(|&i| i == f.query_index).unwrap())
+                .collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "shard {s}: seq order");
+            assert!(stream.windows(2).all(|w| w[0].release <= w[1].release));
+            for f in stream {
+                let v = &log.verdicts[f.query_index];
+                assert!(
+                    matches!(v.decision, Disposition::Admitted { at, .. } if at == f.release),
+                    "shard {s}: query {} released off its logged instant",
+                    f.query_index
+                );
+                assert_eq!(f.class, v.class);
+                assert_eq!(f.arrival, timed.entries()[f.query_index].0);
+                let split = plain.shards[s]
+                    .iter()
+                    .find(|g| g.query_index == f.query_index)
+                    .expect("the same split as `route`");
+                assert_eq!(f.items, split.items);
+            }
+        }
+        for (i, v) in log.verdicts.iter().enumerate() {
+            assert_eq!(routing.assignments_of[i], v.assignments, "query {i}");
+            let expected = v.admitted().then_some(plain.fragments_of[i]);
+            assert_eq!(routing.fragments_of[i], expected.unwrap_or(0), "query {i}");
+        }
     }
 
     #[test]

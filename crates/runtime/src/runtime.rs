@@ -3,19 +3,21 @@
 //!
 //! # One driver
 //!
-//! Every run without the transport controller or the front door — static,
-//! elastic, failover, and elastic + failover — goes through one stepped
-//! driver: a single-threaded virtual-time merge of the shard event queues
-//! (earliest next event first, ties by shard id) with the rebalance and
-//! crash controllers in the loop. It records every controller decision in
-//! one pair of logs: a [`RebalanceLog`] of epoch moves and a
-//! [`FailoverLog`] of outage edges, evacuations and re-deliveries. The
-//! stepped mode *is* that driver: the reference, pinnable by golden tests
-//! and steppable under a debugger. The threaded mode replays the logs on
-//! one `std::thread` worker per shard. A run whose logs are empty by
-//! construction (rebalancing and failover off, no outages) skips the
-//! planning pass and replays the empty logs directly. The transport and
-//! front-door paths keep their own planners and replays.
+//! Every run without the transport controller — static, elastic,
+//! failover, elastic + failover, and front-door runs — goes through one
+//! stepped driver: a single-threaded virtual-time merge of the shard event
+//! queues (earliest next event first, ties by shard id) with the rebalance,
+//! crash and admission controllers in the loop. It records every controller
+//! decision in its logs: a [`RebalanceLog`] of epoch moves, a
+//! [`FailoverLog`] of outage edges, evacuations and re-deliveries, and an
+//! [`AdmissionLog`] of front-door verdicts. The stepped mode *is* that
+//! driver: the reference, pinnable by golden tests and steppable under a
+//! debugger. The threaded mode routes the trace under the logs with one
+//! replay router ([`route_logged`]) and replays them on one `std::thread`
+//! worker per shard. A run whose logs are empty by construction (no
+//! controller on) skips the planning pass and replays the empty logs
+//! directly. Only the transport path plans apart: it fixes every delivery
+//! before any shard runs.
 //!
 //! # Determinism contract
 //!
@@ -30,7 +32,9 @@
 //!   so workers never observe each other and any stepping order yields the
 //!   same per-shard results. Shards meet only at *sync rounds* — the
 //!   logged decisions that moved buckets — where every worker steps to the
-//!   boundary and the payloads move in the driver's canonical order.
+//!   boundary and the payloads move in the driver's canonical order. The
+//!   front door moves no buckets: it only delays or drops deliveries, so
+//!   its verdicts live entirely in the routed streams.
 //! - Aggregation merges per-shard completion streams in the canonical
 //!   `(completion time, shard id, shard event order)` order, which is
 //!   independent of how the shards were driven.
@@ -59,11 +63,20 @@ use crate::failover::{
 };
 use crate::rebalance::{plan_moves, EpochRecord, RebalanceLog};
 use crate::router::{
-    control_timeline, route, route_admitted, route_logged, split_arrival, Control, Fragment,
+    control_timeline, route, route_logged, split_arrival, split_query, Control, Fragment,
 };
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, TransportLog, TransportReport};
 use crate::worker::{ShardRun, ShardWorker};
+
+/// The stepped driver's decision logs: everything the threaded replay needs
+/// to reproduce its run.
+#[derive(Default)]
+struct Logs {
+    failover: FailoverLog,
+    rebalance: Option<RebalanceLog>,
+    admission: Option<AdmissionLog>,
+}
 
 /// The outcome of one sharded runtime execution.
 #[derive(Debug, Clone)]
@@ -166,17 +179,17 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
-    /// Every run without the transport controller or the front door goes
-    /// through one stepped driver: static, elastic, failover, and
-    /// elastic + failover runs alike. [`ExecMode::Stepped`] *is* that driver;
-    /// [`ExecMode::Threaded`] first runs it to record the rebalance and
-    /// failover decision logs, then replays them verbatim on one thread per
-    /// shard. A run whose logs are empty by construction — rebalancing and
-    /// failover off, no outages injected — skips the planning pass and
-    /// replays the empty logs directly. The transport and front-door paths
-    /// keep their own planners and replays. The factory is invoked
-    /// once per shard per pass, so it must keep returning equivalent
-    /// schedulers.
+    /// Every run without the transport controller goes through one stepped
+    /// driver: static, elastic, failover, elastic + failover, and front-door
+    /// runs alike. [`ExecMode::Stepped`] *is* that driver;
+    /// [`ExecMode::Threaded`] first runs it to record the rebalance,
+    /// failover and admission decision logs, then replays them verbatim on
+    /// one thread per shard. A run whose logs are empty by construction —
+    /// rebalancing, failover and the front door off, no outages injected —
+    /// skips the planning pass and replays the empty logs directly. The
+    /// transport path fixes its whole delivery schedule up-front instead.
+    /// The factory is invoked once per shard per pass, so it must keep
+    /// returning equivalent schedulers.
     ///
     /// # Panics
     /// Panics if any shard's scheduler violates its contract, or if the run
@@ -190,23 +203,15 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         if self.config.transport.enabled {
             return self.run_transport(trace, mk_scheduler, mode);
         }
-        if self.config.front_door.enabled {
-            let (log, stepped) = self.plan_front_door(trace, mk_scheduler);
-            return match mode {
-                ExecMode::Stepped => stepped,
-                ExecMode::Threaded => self.replay_front_door(trace, mk_scheduler, log),
-            };
-        }
-        match mode {
-            ExecMode::Stepped => self.plan(trace, mk_scheduler).2,
-            ExecMode::Threaded if !self.config.rebalance.enabled && !self.failover_active() => {
-                self.replay(trace, mk_scheduler, FailoverLog::default(), None)
-            }
-            ExecMode::Threaded => {
-                let (fo_log, rb_log, _) = self.plan(trace, mk_scheduler);
-                self.replay(trace, mk_scheduler, fo_log, rb_log)
-            }
-        }
+        let planned = self.config.rebalance.enabled
+            || self.failover_active()
+            || self.config.front_door.enabled;
+        let logs = match mode {
+            ExecMode::Stepped => return self.plan(trace, mk_scheduler).1,
+            ExecMode::Threaded if planned => self.plan(trace, mk_scheduler).0,
+            ExecMode::Threaded => Logs::default(),
+        };
+        self.replay(trace, mk_scheduler, logs)
     }
 
     /// Whether the crash controller is in play: failover enabled, or outage
@@ -274,11 +279,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let cross_shard_queries = routing.cross_shard_queries;
         let mut plan = plan_delivery(&tp, &self.config.faults, &mut routing, entries.len());
 
-        let index_of: HashMap<QueryId, usize> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (_, q))| (q.id, i))
-            .collect();
+        let index_of = query_index(trace);
 
         if tp.hedge.enabled {
             let reference_workers = self.workers(trace, routing.shards.clone(), mk_scheduler);
@@ -320,7 +321,10 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let workers = self.workers(trace, routing.shards, mk_scheduler);
         let shard_runs = match mode {
             ExecMode::Stepped => run_stepped(workers),
-            ExecMode::Threaded => run_threaded(workers),
+            ExecMode::Threaded => run_threaded(workers, &[], &self.config, None)
+                .into_iter()
+                .map(|(run, _)| run)
+                .collect(),
         };
 
         let (hedge_wins, hedge_losses, skip) =
@@ -340,22 +344,21 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .collect();
         let (global, _) = aggregate(
             trace,
+            &index_of,
             &assignments_of,
             &shard_runs,
             None,
             Some(&plan.rejected_mask),
             Some(&skip),
         );
-        let transport = build_transport_report(
-            &plan.log,
-            trace,
-            &assignments_of,
+        let telemetry = self.build_telemetry(trace, &shard_runs, None, None, None, Some(&plan.log));
+        let transport = TransportReport {
+            log: plan.log,
+            per_class: conservation(&assignments_of, &global, &rejected),
             rejected,
-            &global,
             hedge_wins,
             hedge_losses,
-        );
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, None, None, Some(&plan.log));
+        };
         RuntimeReport {
             global,
             shards: shard_runs,
@@ -369,219 +372,22 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         }
     }
 
-    /// The front-door reference pass: a stepped virtual-time merge with the
-    /// global admission controller in the loop. Returns the decision log
-    /// alongside the finished report.
+    /// The stepped driver and reference semantics of every run without
+    /// transport: a single-threaded virtual-time merge of the shard event
+    /// queues with the rebalance, crash and admission controllers in the
+    /// loop. Returns the decision logs — the failover log (empty unless
+    /// outages were injected), the epoch log (when rebalancing runs) and the
+    /// admission log (when the front door runs) — alongside the finished
+    /// report.
     ///
-    /// The driver interleaves three event sources — shard events, trace
-    /// arrivals, and backoff wake-ups — in virtual-time order. At each
-    /// event time it ingests every due arrival into the [`FrontDoor`],
-    /// pumps the controller (which may admit queries, handing their
-    /// pre-split fragments to the shards with `release = now`), and steps
-    /// the earliest-event shard. Admission feedback is the per-shard
-    /// cumulative serviced-entry counters — observable in both modes, which
-    /// is why the recorded plan replays exactly.
-    ///
-    /// Liveness: if no shard has a pending event, every admitted assignment
-    /// has been serviced, so the pool is empty and the controller's
-    /// head-of-line waiter admits unconditionally — the loop can never
-    /// stall with work outstanding.
-    fn plan_front_door(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-    ) -> (AdmissionLog, RuntimeReport) {
-        let fd = self.config.front_door;
-        let entries = trace.entries();
-        let pre = QueryPreProcessor::new(self.catalog.partition());
-        let n = self.config.n_shards as usize;
-
-        let mut workers = self.workers(trace, vec![Vec::new(); n], mk_scheduler);
-
-        let mut door = FrontDoor::new(fd, entries.len(), n);
-        let mut assignments_of = vec![0u64; entries.len()];
-        let mut cross_shard_queries = 0usize;
-        let mut total_fragments = 0usize;
-        let mut cursor = 0usize; // next not-yet-ingested trace entry
-        let mut now = SimTime::ZERO;
-
-        loop {
-            // Next event: earliest of (shard event, arrival, backoff wake).
-            let mut t: Option<SimTime> = None;
-            for w in &workers {
-                if let Some(wt) = w.next_time() {
-                    t = Some(t.map_or(wt, |b: SimTime| b.min(wt)));
-                }
-                // A worker's clock runs ahead of global time by whole batch
-                // costs; each recorded batch *end* in that gap is a "capacity
-                // frees here" event the door must observe at its own instant
-                // (and never earlier — see `ShardWorker::serviced_at`).
-                if let Some(ct) = w.next_completion_after(now) {
-                    t = Some(t.map_or(ct, |b: SimTime| b.min(ct)));
-                }
-            }
-            if let Some((arrival, _)) = entries.get(cursor) {
-                t = Some(t.map_or(*arrival, |b| b.min(*arrival)));
-            }
-            if let Some(wake) = door.next_wakeup() {
-                t = Some(t.map_or(wake, |b| b.min(wake)));
-            }
-            match t {
-                Some(t) => now = now.max(t),
-                // No events anywhere: done — unless waiters remain, in
-                // which case the pool must be empty and pumping "now"
-                // admits the head (see the liveness note above).
-                None if door.has_active() => {}
-                None => break,
-            }
-
-            // Ingest every arrival due by `now` (trace order).
-            while let Some((arrival, query)) = entries.get(cursor) {
-                if *arrival > now {
-                    break;
-                }
-                let mut split: Vec<(usize, Vec<WorkItem>)> = Vec::new();
-                let mut assignments = 0u64;
-                for item in pre.preprocess(query) {
-                    assignments += item.len() as u64;
-                    let s = self.map.shard_of(item.bucket).index();
-                    match split.iter_mut().find(|(shard, _)| *shard == s) {
-                        Some((_, items)) => items.push(item),
-                        None => split.push((s, vec![item])),
-                    }
-                }
-                // Shard-index order = the order split_query emits fragments.
-                split.sort_by_key(|(s, _)| *s);
-                let class = fd.classify(assignments);
-                assignments_of[cursor] = assignments;
-                door.ingest(cursor, *arrival, class, assignments, split);
-                cursor += 1;
-            }
-
-            // Pump the controller: wake backoffs, admit, shed, reject.
-            let serviced: Vec<u64> = workers.iter().map(|w| w.serviced_at(now)).collect();
-            door.pump(now, &serviced, |p, at| {
-                let query_id = entries[p.index].1.id;
-                let n_frags = p.split.len().max(1);
-                total_fragments += n_frags;
-                if n_frags > 1 {
-                    cross_shard_queries += 1;
-                }
-                if p.split.is_empty() {
-                    // Zero-work: ship the arrival itself to shard 0.
-                    workers[0].append_fragments(vec![Fragment {
-                        query_index: p.index,
-                        query: query_id,
-                        arrival: p.arrival,
-                        release: at,
-                        class: p.class,
-                        items: Vec::new(),
-                        assignments: 0,
-                    }]);
-                } else {
-                    for (s, items) in p.split {
-                        let assignments = items.iter().map(|i| i.len() as u64).sum();
-                        workers[s].append_fragments(vec![Fragment {
-                            query_index: p.index,
-                            query: query_id,
-                            arrival: p.arrival,
-                            release: at,
-                            class: p.class,
-                            items,
-                            assignments,
-                        }]);
-                    }
-                }
-            });
-
-            // Step the earliest shard event due by `now` (ties by shard id).
-            let mut earliest: Option<(SimTime, usize)> = None;
-            for (i, w) in workers.iter().enumerate() {
-                if let Some(wt) = w.next_time() {
-                    // Strict `<` keeps the lowest shard index on time ties.
-                    if earliest.map_or(true, |(bt, _)| wt < bt) {
-                        earliest = Some((wt, i));
-                    }
-                }
-            }
-            if let Some((wt, i)) = earliest {
-                if wt <= now {
-                    let advanced = workers[i].step();
-                    debug_assert!(advanced, "a shard with a next event must advance");
-                }
-            }
-        }
-
-        let shard_runs: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
-        let log = door.into_log();
-        let (global, front_door) =
-            aggregate(trace, &assignments_of, &shard_runs, Some(&log), None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, Some(&log), None, None);
-        let report = RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
-            front_door,
-            failover: None,
-            transport: None,
-            telemetry,
-        };
-        (log, report)
-    }
-
-    /// The front-door parallel executor: routes the admitted subset of the
-    /// trace up-front per the recorded log ([`route_admitted`] — fragments
-    /// in admission order, released at their logged admission times) and
-    /// runs the shards completely free-running. No barriers: the front door
-    /// only ever *delays or drops* deliveries, so once the decisions are
-    /// fixed, each shard's stream is fixed, and shard behaviour is a pure
-    /// function of its stream.
-    fn replay_front_door(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        log: AdmissionLog,
-    ) -> RuntimeReport {
-        let routing = route_admitted(self.catalog.partition(), &self.map, trace, &log);
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
-
-        let workers = self.workers(trace, routing.shards, mk_scheduler);
-
-        let shard_runs = run_threaded(workers);
-        let (global, front_door) =
-            aggregate(trace, &assignments_of, &shard_runs, Some(&log), None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, Some(&log), None, None);
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
-            front_door,
-            failover: None,
-            transport: None,
-            telemetry,
-        }
-    }
-
-    /// The stepped driver and reference semantics of every run without a
-    /// front door or transport: a single-threaded virtual-time merge of the
-    /// shard event queues with the rebalance and crash controllers in the
-    /// loop. Returns the failover decision log (empty unless outages were
-    /// injected) and the epoch log (when rebalancing runs) alongside the
-    /// finished report.
-    ///
-    /// Four controller event sources interleave with worker events in
+    /// Five controller event sources interleave with worker events in
     /// virtual-time order; at equal instants the priority is fault boundary
-    /// → epoch boundary → arrival → re-delivery, and a worker only steps
-    /// while its next event is *strictly* earlier than every controller
-    /// event (worker ties break on the lowest shard id). With no controller
-    /// configured only arrivals remain, and the driver is the plain merge:
-    /// the earliest next event advances, arrivals entering at their instant.
+    /// → epoch boundary → front-door instant → arrival → re-delivery, and a
+    /// worker only steps while its next event is *strictly* earlier than
+    /// every controller event (worker ties break on the lowest shard id).
+    /// With no controller configured only arrivals remain, and the driver is
+    /// the plain merge: the earliest next event advances, arrivals entering
+    /// at their instant.
     ///
     /// - **fault boundaries** record a [`ShardTransition`]; a down edge
     ///   with failover enabled evacuates every non-empty bucket off the
@@ -600,14 +406,27 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ///   live shard, or — when nothing is up — fail and back off
     ///   exponentially until `max_redeliveries` attempts reject the query
     ///   (a terminal outcome: every query still ends exactly once).
+    /// - **front-door instants** (front door enabled; it takes over the
+    ///   arrivals) are the instants the door's inputs can change: arrivals,
+    ///   backoff wake-ups, and batch ends after the previous door instant.
+    ///   Every arrival due by then splits ([`split_query`]) and joins the
+    ///   door's queue, then the door pumps, and each admitted query's
+    ///   fragments reach their shards released at the admission instant.
+    ///   The door's feedback is each shard's entries serviced by batches
+    ///   *completed* by that instant (`ShardWorker::serviced_at`) —
+    ///   observable in both modes, which is why the log replays exactly.
+    ///   With no event left but waiters active, every admitted assignment
+    ///   has been serviced, so the pool is empty and one more pump admits
+    ///   the head of the line: the loop never stalls with work outstanding.
     fn plan(
         &self,
         trace: &TimedTrace,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-    ) -> (FailoverLog, Option<RebalanceLog>, RuntimeReport) {
+    ) -> (Logs, RuntimeReport) {
         let fo = self.config.failover;
         let retry = fo.retry_policy();
         let rb = self.config.rebalance;
+        let fd = self.config.front_door;
         let entries = trace.entries();
         let pre = QueryPreProcessor::new(self.catalog.partition());
         let n = self.config.n_shards as usize;
@@ -623,6 +442,8 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         boundaries.sort_unstable();
 
         let mut elastic = ElasticShardMap::new(self.map);
+        let mut door = fd.enabled.then(|| FrontDoor::new(fd, entries.len(), n));
+        let mut door_now = SimTime::ZERO; // the last front-door instant
         let mut up = vec![true; n];
         let mut assignments_of = vec![0u64; entries.len()];
         let mut cross_shard_queries = 0usize;
@@ -660,21 +481,20 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 .then(|| SimTime::ZERO + rb.epoch.times(fired as u64 + 1));
             let ta = entries.get(cursor).map(|e| e.0);
             let tr = retries.peek().map(|Reverse((t, _))| *t);
-            let mut tw: Option<(SimTime, usize)> = None;
-            for (i, w) in workers.iter().enumerate() {
-                if let Some(wt) = w.next_time() {
-                    // Strict `<` keeps the lowest shard index on time ties.
-                    if tw.map_or(true, |(bt, _)| wt < bt) {
-                        tw = Some((wt, i));
-                    }
-                }
-            }
+            let (tw, tc) = earliest_worker(&workers, door.is_some().then_some(door_now));
+            let mut td = door
+                .as_ref()
+                .and_then(|d| [ta, d.next_wakeup(), tc].into_iter().flatten().min());
             // The epoch clock alone (`te` ticks forever) never keeps the
             // loop alive.
-            if tb.is_none() && ta.is_none() && tr.is_none() && tw.is_none() {
-                break;
+            if tb.is_none() && ta.is_none() && tr.is_none() && tw.is_none() && td.is_none() {
+                match &door {
+                    // Waiters remain with no event left: the liveness pump.
+                    Some(d) if d.has_active() => td = Some(door_now),
+                    _ => break,
+                }
             }
-            let next_ctl = [tb, te, ta, tr].into_iter().flatten().min();
+            let next_ctl = [tb, te, td, ta, tr].into_iter().flatten().min();
             if let Some((wt, i)) = tw {
                 if next_ctl.map_or(true, |t| wt < t) {
                     let advanced = workers[i].step();
@@ -773,12 +593,54 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 continue;
             }
 
+            if td == Some(t) {
+                let d = door.as_mut().expect("a door instant needs the door");
+                door_now = t;
+                while let Some((arrival, query)) = entries.get(cursor).filter(|e| e.0 <= t) {
+                    let (_, assignments) = split_query(
+                        &pre,
+                        cursor,
+                        *arrival,
+                        *arrival,
+                        QueryClass::Standard,
+                        query,
+                        &mut |b| elastic.shard_of(b),
+                        &mut split,
+                        &mut window,
+                    );
+                    let class = fd.classify(assignments);
+                    let fragments = window
+                        .iter_mut()
+                        .enumerate()
+                        .flat_map(|(s, frags)| {
+                            frags.drain(..).map(move |f| (s, Fragment { class, ..f }))
+                        })
+                        .collect();
+                    assignments_of[cursor] = assignments;
+                    d.ingest(cursor, *arrival, class, fragments);
+                    cursor += 1;
+                }
+                let serviced: Vec<u64> = workers.iter().map(|w| w.serviced_at(t)).collect();
+                d.pump(t, &serviced, |p, at| {
+                    if p.fragments.len() > 1 {
+                        cross_shard_queries += 1;
+                    }
+                    total_fragments += p.fragments.len();
+                    for (s, f) in p.fragments {
+                        workers[s].append_fragments(vec![Fragment { release: at, ..f }]);
+                    }
+                });
+                continue;
+            }
+
             if ta == Some(t) {
                 let (arrival, query) = &entries[cursor];
                 let (delivered, fragments, assignments) = split_arrival(
                     &pre,
                     cursor,
                     *arrival,
+                    *arrival,
+                    QueryClass::Standard,
                     query,
                     fo.enabled,
                     &up,
@@ -860,16 +722,19 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             }
         }
 
-        let fo_log = FailoverLog {
-            transitions,
-            evacuations,
-            redeliveries,
+        let logs = Logs {
+            failover: FailoverLog {
+                transitions,
+                evacuations,
+                redeliveries,
+            },
+            rebalance: rb.enabled.then_some(RebalanceLog {
+                epoch: rb.epoch,
+                records,
+            }),
+            admission: door.map(FrontDoor::into_log),
         };
-        let rb_log = rb.enabled.then_some(RebalanceLog {
-            epoch: rb.epoch,
-            records,
-        });
-        let last_ev = fo_log.evacuations.iter().map(|e| e.at).max();
+        let last_ev = logs.failover.evacuations.iter().map(|e| e.at).max();
         let finished = workers
             .into_iter()
             .map(|w| {
@@ -883,152 +748,66 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             &assignments_of,
             cross_shard_queries,
             total_fragments,
-            &fo_log,
-            rb_log.as_ref(),
+            &logs,
         );
         debug_assert_eq!(
             report.failover.as_ref().map_or(0, |f| f.rejected.len()),
             rejected_q.iter().filter(|&&r| r).count(),
             "log-derived rejections must match the driver's"
         );
-        (fo_log, rb_log, report)
+        (logs, report)
     }
 
     /// The threaded replay of [`plan`](Self::plan)'s decision logs: routes
     /// the whole trace up-front under the logs ([`route_logged`]) and runs
-    /// one thread per shard, with a double-barrier handshake per *sync
-    /// round*. A sync round is a controller decision that moved buckets — an
-    /// evacuating down edge or a move-bearing epoch — in [`control_timeline`]
-    /// order: step to the boundary, barrier, send outgoing payloads,
-    /// barrier, absorb incoming ones in bucket order. Up edges, move-free
-    /// boundaries, loss, and re-delivery need no coordination — they are
-    /// already baked into the routed fragment streams — so with empty logs
-    /// every shard runs free.
+    /// one thread per shard ([`run_threaded`]), meeting at one *sync round*
+    /// per controller decision that moved buckets — an evacuating down edge
+    /// or a move-bearing epoch. Up edges, move-free boundaries, loss,
+    /// re-delivery, and front-door verdicts need no coordination — they are
+    /// already baked into the routed fragment streams — so without bucket
+    /// moves every shard runs free.
     fn replay(
         &self,
         trace: &TimedTrace,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        fo_log: FailoverLog,
-        rb_log: Option<RebalanceLog>,
+        logs: Logs,
     ) -> RuntimeReport {
-        let fo = self.config.failover;
-        let rb = self.config.rebalance;
         let routing = route_logged(
             self.catalog.partition(),
             &self.map,
-            fo.enabled,
-            &fo_log,
-            rb_log.as_ref(),
+            self.config.failover.enabled,
+            &logs.failover,
+            logs.rebalance.as_ref(),
+            logs.admission.as_ref(),
             trace,
         );
         let total_fragments = routing.total_fragments();
-        let n = self.config.n_shards as usize;
         let workers = self.workers(trace, routing.shards, mk_scheduler);
-
         // Two down edges at one instant stay *sequential* rounds (in
         // transition order) — a bucket evacuated onto a shard that dies at
         // the same instant moves again in the second round, exactly as the
         // driver decided.
-        let rounds: Vec<Control<'_>> = control_timeline(&fo_log, rb_log.as_ref())
+        let rounds: Vec<Control<'_>> = control_timeline(&logs.failover, logs.rebalance.as_ref())
             .into_iter()
             .filter(Control::moves_buckets)
             .collect();
-        let last_ev: Option<SimTime> = fo_log.evacuations.iter().map(|e| e.at).max();
-        let barrier = Barrier::new(n);
-        type Payload = (SimTime, SimDuration, bool, MigratedBucket);
-        let mut senders: Vec<mpsc::Sender<Payload>> = Vec::with_capacity(n);
-        let mut receivers: Vec<mpsc::Receiver<Payload>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let (tx_done, rx_done) = mpsc::channel::<(usize, (ShardRun, Option<SimTime>))>();
-        std::thread::scope(|scope| {
-            for ((i, mut worker), rx) in workers.into_iter().enumerate().zip(receivers) {
-                let tx_done = tx_done.clone();
-                let senders = senders.clone();
-                let barrier = &barrier;
-                let rounds = &rounds;
-                scope.spawn(move || {
-                    for round in rounds {
-                        let t = round.at();
-                        while worker.next_time().is_some_and(|wt| wt < t) {
-                            worker.step();
-                        }
-                        barrier.wait();
-                        match round {
-                            Control::Edge(_, evacs) => {
-                                for e in evacs {
-                                    if e.from as usize != i {
-                                        continue;
-                                    }
-                                    let p = worker.extract_bucket(e.bucket, e.at, true);
-                                    assert_eq!(
-                                        p.len() as u64,
-                                        e.entries,
-                                        "replay diverged from plan"
-                                    );
-                                    let cost = fo.evacuation_fixed
-                                        + fo.evacuation_per_entry.times(p.len() as u64);
-                                    senders[e.to as usize]
-                                        .send((e.at, cost, fo.warm_residency, p))
-                                        .expect("peer outlives the handshake");
-                                }
-                            }
-                            Control::Epoch(rec) => {
-                                for m in &rec.moves {
-                                    if m.from.index() != i {
-                                        continue;
-                                    }
-                                    let p = worker.extract_bucket(m.bucket, t, rb.warm_residency);
-                                    assert_eq!(
-                                        p.len() as u64,
-                                        m.entries,
-                                        "replay diverged from plan"
-                                    );
-                                    let cost = rb.migration_fixed
-                                        + rb.migration_per_entry.times(p.len() as u64);
-                                    senders[m.to.index()]
-                                        .send((t, cost, rb.warm_residency, p))
-                                        .expect("peer outlives the handshake");
-                                }
-                            }
-                        }
-                        barrier.wait();
-                        let mut incoming: Vec<Payload> = rx.try_iter().collect();
-                        incoming.sort_by_key(|(_, _, _, p)| p.bucket);
-                        for (at, cost, warm, p) in incoming {
-                            worker.absorb_payload(p, at, cost, warm);
-                        }
-                    }
-                    while worker.step() {}
-                    let probe = last_ev.and_then(|t| worker.next_completion_after(t));
-                    tx_done
-                        .send((i, (worker.into_run(), probe)))
-                        .expect("the driver outlives its workers");
-                });
-            }
-        });
-        drop(tx_done);
-        let finished = crate::sweep::collect_indexed(rx_done, n);
+        let last_ev = logs.failover.evacuations.iter().map(|e| e.at).max();
+        let finished = run_threaded(workers, &rounds, &self.config, last_ev);
         self.finish(
             trace,
             finished,
             &routing.assignments_of,
             routing.cross_shard_queries,
             total_fragments,
-            &fo_log,
-            rb_log.as_ref(),
+            &logs,
         )
     }
 
     /// Folds a [`plan`](Self::plan) or [`replay`](Self::replay) run — each
     /// shard's run plus its first batch completion after the last
-    /// evacuation — into the report: the global aggregate, the failover
-    /// section (`None` unless the crash controller is in play), and the
-    /// flight recorder.
-    #[allow(clippy::too_many_arguments)]
+    /// evacuation — into the report: the global aggregate, the front-door
+    /// and failover sections (`None` unless the door, respectively the crash
+    /// controller, is in play), and the flight recorder.
     fn finish(
         &self,
         trace: &TimedTrace,
@@ -1036,14 +815,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         assignments_of: &[u64],
         cross_shard_queries: usize,
         total_fragments: usize,
-        fo_log: &FailoverLog,
-        rb_log: Option<&RebalanceLog>,
+        logs: &Logs,
     ) -> RuntimeReport {
         let (shard_runs, probes): (Vec<ShardRun>, Vec<Option<SimTime>>) =
             finished.into_iter().unzip();
         let entries = trace.entries();
         let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
-        let rejected = fo_log.rejected_queries(
+        let rejected = logs.failover.rejected_queries(
             self.config.failover.max_redeliveries,
             &arrivals,
             assignments_of,
@@ -1052,32 +830,36 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         for r in &rejected {
             fo_rejected[r.index] = true;
         }
-        let (global, _) = aggregate(
+        let (global, front_door) = aggregate(
             trace,
+            &query_index(trace),
             assignments_of,
             &shard_runs,
-            None,
-            Some(&fo_rejected),
+            logs.admission.as_ref(),
+            self.failover_active().then_some(fo_rejected.as_slice()),
             None,
         );
-        let failover = self.failover_active().then(|| {
-            build_failover_report(
-                fo_log,
-                trace,
-                assignments_of,
-                rejected,
-                &global,
-                recovery_lag(fo_log, &probes),
-            )
+        let failover = self.failover_active().then(|| FailoverReport {
+            log: logs.failover.clone(),
+            per_class: conservation(assignments_of, &global, &rejected),
+            rejected,
+            recovery_lag: recovery_lag(&logs.failover, &probes),
         });
-        let telemetry = self.build_telemetry(trace, &shard_runs, rb_log, None, Some(fo_log), None);
+        let telemetry = self.build_telemetry(
+            trace,
+            &shard_runs,
+            logs.rebalance.as_ref(),
+            logs.admission.as_ref(),
+            Some(&logs.failover),
+            None,
+        );
         RuntimeReport {
             global,
             shards: shard_runs,
             cross_shard_queries,
             total_fragments,
-            rebalance: rb_log.cloned(),
-            front_door: None,
+            rebalance: logs.rebalance.clone(),
+            front_door,
             failover,
             transport: None,
             telemetry,
@@ -1301,46 +1083,115 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     }
 }
 
+/// One pass over the workers: the earliest next event as `(time, shard)`,
+/// ties to the lowest shard id, and — given `after` — the earliest batch
+/// completion strictly after it (the front door's "capacity frees here"
+/// event source).
+fn earliest_worker<C: Catalog + ?Sized>(
+    workers: &[ShardWorker<'_, C>],
+    after: Option<SimTime>,
+) -> (Option<(SimTime, usize)>, Option<SimTime>) {
+    let mut earliest: Option<(SimTime, usize)> = None;
+    let mut completion: Option<SimTime> = None;
+    for (i, w) in workers.iter().enumerate() {
+        if let Some(t) = w.next_time() {
+            // Strict `<` keeps the lowest shard index on time ties.
+            if earliest.map_or(true, |(bt, _)| t < bt) {
+                earliest = Some((t, i));
+            }
+        }
+        if let Some(ct) = after.and_then(|t| w.next_completion_after(t)) {
+            completion = Some(completion.map_or(ct, |b| b.min(ct)));
+        }
+    }
+    (earliest, completion)
+}
+
 /// The stepped merge over fragment streams fixed up-front (the transport
 /// path): repeatedly advance the shard with the earliest next event (ties
 /// broken by shard id) by exactly one event until every shard has drained.
 fn run_stepped<C: Catalog + ?Sized>(mut workers: Vec<ShardWorker<'_, C>>) -> Vec<ShardRun> {
-    loop {
-        let mut earliest: Option<(SimTime, usize)> = None;
-        for (i, w) in workers.iter().enumerate() {
-            if let Some(t) = w.next_time() {
-                // Strict `<` keeps the lowest shard index on time ties.
-                if earliest.map_or(true, |(bt, _)| t < bt) {
-                    earliest = Some((t, i));
-                }
-            }
-        }
-        let Some((_, i)) = earliest else { break };
+    while let (Some((_, i)), _) = earliest_worker(&workers, None) {
         let advanced = workers[i].step();
         debug_assert!(advanced, "a shard with a next event must advance");
     }
     workers.into_iter().map(ShardWorker::into_run).collect()
 }
 
-/// The free-running parallel executor for the transport and front-door
-/// paths: one OS thread per shard, fragment streams fixed up-front,
-/// finished runs returned over an `mpsc` channel and re-ordered by shard
-/// id.
-fn run_threaded<C: Catalog + Sync + ?Sized>(workers: Vec<ShardWorker<'_, C>>) -> Vec<ShardRun> {
+/// The threaded executor: one OS thread per shard over fragment streams
+/// fixed up-front, finished runs returned over an `mpsc` channel and
+/// re-ordered by shard id, each with its first batch completion after
+/// `probe_after`. Shards meet only at the sync `rounds`, in
+/// [`control_timeline`] order, with a double-barrier handshake each: step to
+/// the boundary, barrier, send outgoing payloads (costed by `config`'s
+/// failover and rebalance models), barrier, absorb incoming ones in bucket
+/// order. Without rounds every shard runs free.
+fn run_threaded<C: Catalog + Sync + ?Sized>(
+    workers: Vec<ShardWorker<'_, C>>,
+    rounds: &[Control<'_>],
+    config: &RuntimeConfig,
+    probe_after: Option<SimTime>,
+) -> Vec<(ShardRun, Option<SimTime>)> {
+    let (fo, rb) = (&config.failover, &config.rebalance);
     let n = workers.len();
-    let (tx, rx) = mpsc::channel::<(usize, ShardRun)>();
+    let barrier = Barrier::new(n);
+    type Payload = (SimTime, SimDuration, bool, MigratedBucket);
+    let (senders, receivers): (Vec<mpsc::Sender<Payload>>, Vec<_>) =
+        (0..n).map(|_| mpsc::channel()).unzip();
+    let (tx_done, rx_done) = mpsc::channel::<(usize, (ShardRun, Option<SimTime>))>();
     std::thread::scope(|scope| {
-        for (i, mut worker) in workers.into_iter().enumerate() {
-            let tx = tx.clone();
+        for ((i, mut worker), rx) in workers.into_iter().enumerate().zip(receivers) {
+            let tx_done = tx_done.clone();
+            let senders = senders.clone();
+            let barrier = &barrier;
             scope.spawn(move || {
+                for round in rounds {
+                    let t = round.at();
+                    while worker.next_time().is_some_and(|wt| wt < t) {
+                        worker.step();
+                    }
+                    barrier.wait();
+                    match round {
+                        Control::Edge(_, evacs) => {
+                            for e in evacs.iter().filter(|e| e.from as usize == i) {
+                                let p = worker.extract_bucket(e.bucket, e.at, true);
+                                assert_eq!(p.len() as u64, e.entries, "replay diverged from plan");
+                                let cost =
+                                    fo.evacuation_fixed + fo.evacuation_per_entry.times(e.entries);
+                                senders[e.to as usize]
+                                    .send((e.at, cost, fo.warm_residency, p))
+                                    .expect("peer outlives the handshake");
+                            }
+                        }
+                        Control::Epoch(rec) => {
+                            for m in rec.moves.iter().filter(|m| m.from.index() == i) {
+                                let p = worker.extract_bucket(m.bucket, t, rb.warm_residency);
+                                assert_eq!(p.len() as u64, m.entries, "replay diverged from plan");
+                                let cost =
+                                    rb.migration_fixed + rb.migration_per_entry.times(m.entries);
+                                senders[m.to.index()]
+                                    .send((t, cost, rb.warm_residency, p))
+                                    .expect("peer outlives the handshake");
+                            }
+                        }
+                    }
+                    barrier.wait();
+                    let mut incoming: Vec<Payload> = rx.try_iter().collect();
+                    incoming.sort_by_key(|(_, _, _, p)| p.bucket);
+                    for (at, cost, warm, p) in incoming {
+                        worker.absorb_payload(p, at, cost, warm);
+                    }
+                }
                 while worker.step() {}
-                tx.send((i, worker.into_run()))
+                let probe = probe_after.and_then(|t| worker.next_completion_after(t));
+                tx_done
+                    .send((i, (worker.into_run(), probe)))
                     .expect("the driver outlives its workers");
             });
         }
     });
-    drop(tx);
-    crate::sweep::collect_indexed(rx, n)
+    drop(tx_done);
+    crate::sweep::collect_indexed(rx_done, n)
 }
 
 /// Folds per-shard fragment runs into the query-level global report.
@@ -1384,6 +1235,7 @@ fn run_threaded<C: Catalog + Sync + ?Sized>(workers: Vec<ShardWorker<'_, C>>) ->
 /// assert.
 fn aggregate(
     trace: &TimedTrace,
+    index_of: &HashMap<QueryId, usize>,
     assignments_of: &[u64],
     shard_runs: &[ShardRun],
     admission: Option<&AdmissionLog>,
@@ -1391,11 +1243,6 @@ fn aggregate(
     hedge_losers: Option<&std::collections::HashSet<(QueryId, u32)>>,
 ) -> (RunReport, Option<FrontDoorReport>) {
     let entries = trace.entries();
-    let index_of: HashMap<QueryId, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, (_, q))| (q.id, i))
-        .collect();
     let rejected_at: Vec<bool> = match admission {
         Some(log) => log.verdicts.iter().map(|v| !v.admitted()).collect(),
         None => vec![false; entries.len()],
@@ -1635,39 +1482,40 @@ fn recovery_lag(log: &FailoverLog, probes: &[Option<SimTime>]) -> Option<SimDura
         .map(|ct| ct.since(t))
 }
 
-/// Folds the failover log, the rejection records, and the global outcomes
-/// into the [`FailoverReport`], asserting terminal-outcome conservation per
-/// class: every query either completed or was rejected, exactly once.
-/// Classes come from the front-door thresholds applied to routed workload
-/// (the door itself is off — validation forbids combining it with outages).
-fn build_failover_report(
-    log: &FailoverLog,
-    trace: &TimedTrace,
-    assignments_of: &[u64],
-    rejected: Vec<FailedQuery>,
-    global: &RunReport,
-    recovery_lag: Option<SimDuration>,
-) -> FailoverReport {
-    let entries = trace.entries();
-    let classes = FrontDoorConfig::disabled();
-    let index_of: HashMap<QueryId, usize> = entries
+/// Trace index of every query id — the one lookup a run's folds share.
+fn query_index(trace: &TimedTrace) -> HashMap<QueryId, usize> {
+    trace
+        .entries()
         .iter()
         .enumerate()
         .map(|(i, (_, q))| (q.id, i))
-        .collect();
+        .collect()
+}
+
+/// Per-class terminal-outcome conservation of the failover and transport
+/// reports, asserted: every query either completed or was rejected, exactly
+/// once. Classes come from the front-door thresholds applied to routed
+/// workload (the door itself is off — validation forbids combining it with
+/// outages or transport).
+fn conservation(
+    assignments_of: &[u64],
+    global: &RunReport,
+    rejected: &[FailedQuery],
+) -> [ClassConservation; 3] {
+    let classes = FrontDoorConfig::disabled();
     let mut per_class: [ClassConservation; 3] = QueryClass::ALL.map(|class| ClassConservation {
         class,
         submitted: 0,
         completed: 0,
         rejected: 0,
     });
-    for assignments in assignments_of {
-        per_class[classes.classify(*assignments).rank()].submitted += 1;
+    for &assignments in assignments_of {
+        per_class[classes.classify(assignments).rank()].submitted += 1;
     }
     for o in &global.outcomes {
-        per_class[classes.classify(assignments_of[index_of[&o.query]]).rank()].completed += 1;
+        per_class[classes.classify(o.assignments).rank()].completed += 1;
     }
-    for r in &rejected {
+    for r in rejected {
         per_class[classes.classify(r.assignments).rank()].rejected += 1;
     }
     for c in &per_class {
@@ -1678,65 +1526,7 @@ fn build_failover_report(
             c.class
         );
     }
-    FailoverReport {
-        log: log.clone(),
-        rejected,
-        per_class,
-        recovery_lag,
-    }
-}
-
-/// Folds the transport log, the rejection records, and the global outcomes
-/// into the [`TransportReport`], asserting terminal-outcome conservation per
-/// class exactly like [`build_failover_report`]: every query either
-/// completed or was rejected, exactly once, whatever the links dropped.
-#[allow(clippy::too_many_arguments)]
-fn build_transport_report(
-    log: &TransportLog,
-    trace: &TimedTrace,
-    assignments_of: &[u64],
-    rejected: Vec<FailedQuery>,
-    global: &RunReport,
-    hedge_wins: u64,
-    hedge_losses: u64,
-) -> TransportReport {
-    let entries = trace.entries();
-    let classes = FrontDoorConfig::disabled();
-    let index_of: HashMap<QueryId, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, (_, q))| (q.id, i))
-        .collect();
-    let mut per_class: [ClassConservation; 3] = QueryClass::ALL.map(|class| ClassConservation {
-        class,
-        submitted: 0,
-        completed: 0,
-        rejected: 0,
-    });
-    for assignments in assignments_of {
-        per_class[classes.classify(*assignments).rank()].submitted += 1;
-    }
-    for o in &global.outcomes {
-        per_class[classes.classify(assignments_of[index_of[&o.query]]).rank()].completed += 1;
-    }
-    for r in &rejected {
-        per_class[classes.classify(r.assignments).rank()].rejected += 1;
-    }
-    for c in &per_class {
-        assert_eq!(
-            c.completed + c.rejected,
-            c.submitted,
-            "{:?} queries lost track of a terminal outcome in transit",
-            c.class
-        );
-    }
-    TransportReport {
-        log: log.clone(),
-        rejected,
-        per_class,
-        hedge_wins,
-        hedge_losses,
-    }
+    per_class
 }
 
 #[cfg(test)]
@@ -1820,36 +1610,28 @@ mod tests {
         use liferaft_storage::SimDuration;
         let (cat, timed) = fixture(12, 0.5);
         let n = 4;
-        let mut elastic = RuntimeConfig::contiguous(SimConfig::paper(), n);
+        let plain = RuntimeConfig::contiguous(SimConfig::paper(), n);
+        let mut elastic = plain.clone();
         elastic.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+        let mut door = plain.clone();
+        door.front_door = FrontDoorConfig::bounded(50);
+        // Static logs are empty by construction: no planning pass.
         let cases = [
-            (
-                RuntimeConfig::contiguous(SimConfig::paper(), n),
-                ExecMode::Stepped,
-                n,
-            ),
-            // Static logs are empty by construction: no planning pass.
-            (
-                RuntimeConfig::contiguous(SimConfig::paper(), n),
-                ExecMode::Threaded,
-                n,
-            ),
-            (elastic.clone(), ExecMode::Stepped, n),
-            (elastic, ExecMode::Threaded, 2 * n),
+            ("static", plain, n),
+            ("elastic", elastic, 2 * n),
+            ("front door", door, 2 * n),
         ];
-        for (config, mode, expected) in cases {
-            let elastic = config.rebalance.enabled;
+        for (label, config, threaded) in cases {
             let rt = ShardedRuntime::new(&cat, config);
-            let mut calls = 0u32;
-            rt.run(
-                &timed,
-                &mut |_| {
+            for (mode, expected) in [(ExecMode::Stepped, n), (ExecMode::Threaded, threaded)] {
+                let mut calls = 0u32;
+                let mut mk = |_| {
                     calls += 1;
                     greedy()
-                },
-                mode,
-            );
-            assert_eq!(calls, expected, "{mode:?} (elastic: {elastic})");
+                };
+                rt.run(&timed, &mut mk, mode);
+                assert_eq!(calls, expected, "{label} via {mode:?}");
+            }
         }
     }
 

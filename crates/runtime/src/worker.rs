@@ -90,7 +90,7 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
     /// wipes the cache once (a crash loses residency).
     wiped: usize,
     /// Per-batch `(end, cumulative serviced entries)` checkpoints, in end
-    /// order. The front-door planner reads capacity through this ledger
+    /// order. The front door reads capacity through this ledger
     /// ([`serviced_at`](Self::serviced_at)) rather than the engine's raw
     /// counter: the raw counter jumps at batch *start* (when the worker's
     /// clock can be far ahead of global virtual time), and an admission
@@ -153,10 +153,10 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// next event is its next fragment **release** — clamped to `now`,
     /// because a shard whose clock overshot the release while busy admits
     /// the fragment at `now`, not in the past. The clamp is what lets the
-    /// elastic and front-door drivers trust `next_time` as "the virtual
-    /// time of the next state change" when placing epoch boundaries. An
-    /// instant inside an injected outage window wakes at the window's end —
-    /// a dead shard's next event is its rejoin.
+    /// stepped driver trust `next_time` as "the virtual time of the next
+    /// state change" when ordering worker steps against controller events.
+    /// An instant inside an injected outage window wakes at the window's
+    /// end — a dead shard's next event is its rejoin.
     pub(crate) fn next_time(&self) -> Option<SimTime> {
         if !self.core.is_idle() || !self.deferred.is_empty() {
             return Some(self.wake(self.now));
@@ -292,9 +292,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         true
     }
 
-    /// Appends later-routed fragments to the ingress stream — the elastic
-    /// and front-door drivers' incremental routing path. Release order must
-    /// be preserved across appends.
+    /// Appends later-routed fragments to the ingress stream — the stepped
+    /// driver's incremental routing path. Release order must be preserved
+    /// across appends.
     pub(crate) fn append_fragments(&mut self, extra: Vec<Fragment>) {
         debug_assert!(
             extra.windows(2).all(|w| w[0].release <= w[1].release),
@@ -323,7 +323,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     }
 
     /// Entries serviced by batches that **completed** by virtual time `t` —
-    /// the front-door planner's capacity signal. Work inside a batch still
+    /// the front door's capacity signal. Work inside a batch still
     /// running at `t` does not count, so an admission decision made at `t`
     /// depends only on events at or before `t` and replays exactly from the
     /// logged release times.
@@ -337,7 +337,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     }
 
     /// The earliest recorded batch completion strictly after `t` — the
-    /// planner's "capacity frees here" event source.
+    /// front door's "capacity frees here" event source.
     pub(crate) fn next_completion_after(&self, t: SimTime) -> Option<SimTime> {
         let k = self.completions.partition_point(|&(end, _)| end <= t);
         self.completions.get(k).map(|&(end, _)| end)
